@@ -109,7 +109,17 @@ let neighborhood_bounds t =
 
 let interference_number t = Array.fold_left (fun acc a -> max acc (Array.length a)) 0 t.sets
 
-let interfere t e e' = Array.exists (fun x -> x = e') t.sets.(e)
+(* Binary search for [x] in the ascending slice [row.(lo) .. row.(hi - 1)]. *)
+let rec mem_sorted row x lo hi =
+  lo < hi
+  &&
+  let mid = (lo + hi) lsr 1 in
+  let y = row.(mid) in
+  y = x || if y < x then mem_sorted row x (mid + 1) hi else mem_sorted row x lo mid
+
+let interfere t e e' =
+  let row = t.sets.(e) in
+  mem_sorted row e' 0 (Array.length row)
 
 let adjacency t = t.sets
 

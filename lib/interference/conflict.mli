@@ -10,7 +10,10 @@ type t = {
   model : Model.t;
   sets : int array array;
       (** [sets.(e)] = interference set of edge [e], excluding [e] itself,
-          in ascending edge-id order.  Treat as read-only. *)
+          in ascending edge-id order.  Rows are symmetric:
+          [e' ∈ sets.(e)] ⇔ [e ∈ sets.(e')] (the interference relation
+          is taken in both directions).  Routing's colour-class padding
+          relies on this.  Treat as read-only. *)
 }
 
 val build :
@@ -36,7 +39,8 @@ val neighborhood_bounds : t -> int array
     [e ∈ I(e')], hence [Iₑ' >= |I(e)|] and the union bound telescopes. *)
 
 val interfere : t -> int -> int -> bool
-(** Membership in each other's interference sets (by edge id). *)
+(** Membership in each other's interference sets (by edge id): a binary
+    search of [e]'s ascending row, O(log I).  [false] when [e = e']. *)
 
 val adjacency : t -> int array array
 (** The interference sets as arrays, indexable per edge (the internal

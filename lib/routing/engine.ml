@@ -146,15 +146,18 @@ end
 
 (* ------------------------------------------------------------------ *)
 (* Colour-class padding.  The classes and the conflict adjacency are
-   precomputed once per run; per step, base membership and interference
-   with the base are checked against scratch marks instead of scanning
-   the base list per edge. *)
+   precomputed once per run.  Per step, each base edge stamps itself and
+   its conflict row into [blocked]; a class edge is kept exactly when its
+   stamp is stale.  Conflict rows are symmetric, so "some base edge lists
+   [id] in its row" is the same test as "[id]'s row holds a base edge",
+   and the step costs O(|base|·I + |class|) with no allocation. *)
 module Pad = struct
   type t = {
     conflict_adj : int array array;
     by_class : int array array;  (* ascending edge ids per colour class *)
     num_classes : int;
-    in_base : bool array;  (* per-edge scratch, cleared after each step *)
+    blocked : int array;  (* per-edge stamp of the last call that blocked it *)
+    mutable stamp : int;
   }
 
   let create conflict =
@@ -175,35 +178,41 @@ module Pad = struct
       conflict_adj = Conflict.adjacency conflict;
       by_class;
       num_classes = k;
-      in_base = Array.make m false;
+      blocked = Array.make m 0;
+      stamp = 0;
     }
 
+  (* Copies [base] into [into] from slot [k], stamping each base edge and
+     its conflict row; returns the next free slot.  A top-level loop, not
+     a [List.iter] closure, so nothing is allocated. *)
+  let rec push_base p into k = function
+    | [] -> k
+    | e :: rest ->
+        into.(k) <- e;
+        p.blocked.(e) <- p.stamp;
+        let row = p.conflict_adj.(e) in
+        for i = 0 to Array.length row - 1 do
+          p.blocked.(row.(i)) <- p.stamp
+        done;
+        push_base p into (k + 1) rest
+
   (* Writes [base] plus the step's colour class into the scratch array
-     [into], skipping base duplicates and class edges that interfere with
+     [into], skipping class edges that are in the base or interfere with
      a base edge; extras follow the base in ascending edge-id order.
-     Returns the live count.  No per-step list building. *)
+     Returns the live count. *)
   let active p ~step ~into base =
-    let k = ref 0 in
-    List.iter
-      (fun e ->
-        into.(!k) <- e;
-        incr k;
-        p.in_base.(e) <- true)
-      base;
+    p.stamp <- p.stamp + 1;
+    let k = ref (push_base p into 0 base) in
     if p.num_classes > 0 then begin
-      let cls = step mod p.num_classes in
-      Array.iter
-        (fun id ->
-          if
-            (not p.in_base.(id))
-            && not (Array.exists (fun e' -> p.in_base.(e')) p.conflict_adj.(id))
-          then begin
-            into.(!k) <- id;
-            incr k
-          end)
-        p.by_class.(cls)
+      let cls = p.by_class.(step mod p.num_classes) in
+      for i = 0 to Array.length cls - 1 do
+        let id = cls.(i) in
+        if p.blocked.(id) <> p.stamp then begin
+          into.(!k) <- id;
+          incr k
+        end
+      done
     end;
-    List.iter (fun e -> p.in_base.(e) <- false) base;
     !k
 end
 

@@ -119,8 +119,14 @@ module Cache : sig
 end
 
 (** Precomputed colour-class padding for Scenario-1 engines: colour classes
-    and conflict adjacency are built once per run, and per-step base
-    membership uses scratch marks instead of scanning lists. *)
+    and conflict adjacency are built once per run.  Per step, every base
+    edge stamps itself and its conflict row into a reusable per-edge int
+    array, and a class edge is kept exactly when its stamp is stale.  A
+    step therefore costs O(|base|·I + |class|), with I the interference
+    number, and allocates nothing.  The stamp test is exact because
+    {!Adhoc_interference.Conflict} rows are symmetric: a base edge lists a
+    class edge in its row exactly when the class edge lists the base
+    edge. *)
 module Pad : sig
   type t
 
@@ -128,10 +134,11 @@ module Pad : sig
 
   val active : t -> step:int -> into:int array -> int list -> int
   (** [active p ~step ~into base] writes [base] plus the step's colour
-      class (round robin) into the scratch array [into] — minus base
-      duplicates and class edges interfering with a base edge, extras
+      class (round robin) into the scratch array [into] — minus class
+      edges that are in the base or interfere with a base edge, extras
       following the base in ascending edge-id order — and returns the live
-      count.  [into] must hold at least [m] entries. *)
+      count.  [into] must hold [|base|] plus the class size; [m] entries
+      suffice for a duplicate-free base. *)
 end
 
 val run_mac_given :

@@ -34,7 +34,6 @@ let generate_with ~pick_pair ?pick_time ?conflict config ~rng ~graph ~cost =
   let n = Graph.n graph in
   if n < 2 then invalid_arg "Workload.generate: need at least two nodes";
   let horizon = config.horizon in
-  let occupied : (int * int, unit) Hashtbl.t = Hashtbl.create 1024 in
   let reserved_at = Array.make horizon [] in
   let injections = Array.make horizon [] in
   let paths = Array.make horizon [] in
@@ -47,12 +46,16 @@ let generate_with ~pick_pair ?pick_time ?conflict config ~rng ~graph ~cost =
         Hashtbl.add sssp src r;
         r
   in
-  let compatible e step =
-    (not (Hashtbl.mem occupied (e, step)))
-    && (match conflict with
-       | Some c when config.interference_free ->
-           List.for_all (fun e' -> not (Conflict.interfere c e e')) reserved_at.(step)
-       | _ -> true)
+  (* A slot is free for [e] when [e] is not already reserved in it and,
+     for interference-free workloads, no edge reserved in it interferes
+     with [e].  One pass over the step's (short) reservation list answers
+     both. *)
+  let compatible =
+    match conflict with
+    | Some c when config.interference_free ->
+        fun e step ->
+          List.for_all (fun e' -> e' <> e && not (Conflict.interfere c e e')) reserved_at.(step)
+    | _ -> fun e step -> List.for_all (fun e' -> e' <> e) reserved_at.(step)
   in
   (* Buffer-occupancy events: (node, dest) -> (time, +1/-1) list. *)
   let events : (int * int, (int * int) list ref) Hashtbl.t = Hashtbl.create 1024 in
@@ -104,11 +107,7 @@ let generate_with ~pick_pair ?pick_time ?conflict config ~rng ~graph ~cost =
             match reserve [] t0 path_edges with
             | None -> ()
             | Some slots ->
-                List.iter
-                  (fun (e, s) ->
-                    Hashtbl.add occupied (e, s) ();
-                    reserved_at.(s) <- e :: reserved_at.(s))
-                  slots;
+                List.iter (fun (e, s) -> reserved_at.(s) <- e :: reserved_at.(s)) slots;
                 injections.(t0) <- (src, dst) :: injections.(t0);
                 paths.(t0) <- (src, dst, path_edges) :: paths.(t0);
                 incr deliveries;
@@ -190,24 +189,49 @@ let generate ?conflict config ~rng ~graph ~cost =
   in
   generate_with ~pick_pair ?conflict config ~rng ~graph ~cost
 
+(* [within_hops graph k src dst] answers "is [dst] within [k] hops of
+   [src]?" by a breadth-first search that stops at depth [k] or on
+   reaching [dst].  The seen stamps and the queue are allocated once and
+   reused by every query, so memory stays O(n) however many pairs are
+   tried, and a query visits at most the k-hop ball around [src]. *)
+let within_hops graph k =
+  let n = Graph.n graph in
+  let seen = Array.make n 0 in
+  let queue = Array.make n 0 in
+  let query = ref 0 in
+  fun src dst ->
+    if src = dst then k >= 0
+    else begin
+      incr query;
+      let stamp = !query in
+      seen.(src) <- stamp;
+      queue.(0) <- src;
+      let head = ref 0 and tail = ref 1 and depth = ref 0 and found = ref false in
+      while (not !found) && !depth < k && !head < !tail do
+        (* Expand one level: the nodes at distance [depth]. *)
+        let level_end = !tail in
+        while (not !found) && !head < level_end do
+          Graph.iter_neighbors graph queue.(!head) (fun v _ ->
+              if seen.(v) <> stamp then begin
+                seen.(v) <- stamp;
+                if v = dst then found := true;
+                queue.(!tail) <- v;
+                incr tail
+              end);
+          incr head
+        done;
+        incr depth
+      done;
+      !found
+    end
+
 let flows ?conflict ?max_hops config ~rng ~graph ~cost ~num_flows =
   if num_flows < 1 then invalid_arg "Workload.flows: need at least one flow";
   let n = Graph.n graph in
   let hop_ok =
     match max_hops with
     | None -> fun _ _ -> true
-    | Some k ->
-        let hops = Hashtbl.create 8 in
-        fun src dst ->
-          let d =
-            match Hashtbl.find_opt hops src with
-            | Some d -> d
-            | None ->
-                let d = Adhoc_graph.Bfs.hops graph ~src in
-                Hashtbl.add hops src d;
-                d
-          in
-          d.(dst) <= k
+    | Some k -> within_hops graph k
   in
   let pairs =
     Array.init num_flows (fun _ ->

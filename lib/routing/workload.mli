@@ -66,7 +66,10 @@ val flows :
     only forms when buffers accumulate packets per destination.
     [max_hops] rejects pairs further apart than that many hops (up to 200
     redraws; the last draw is kept regardless), modelling an adversary that
-    concentrates on short routes. *)
+    concentrates on short routes.  Each redraw runs a breadth-first search
+    cut at depth [max_hops] over one reused buffer, so it visits one
+    k-hop ball around the source and the check holds O(n) memory however
+    many pairs are tried. *)
 
 val single_destination :
   ?conflict:Adhoc_interference.Conflict.t ->

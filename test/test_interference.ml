@@ -59,8 +59,17 @@ let test_build_matches_brute =
       let m = Model.make ~delta:(Prng.range rng 0. 1.) in
       let fast = Conflict.build m ~points g in
       let brute = Conflict.build_brute m ~points g in
-      (* Rows are sorted ascending by construction in both builds. *)
-      fast.Conflict.sets = brute.Conflict.sets)
+      let edges = List.init (Graph.num_edges g) Fun.id in
+      (* Rows are sorted ascending by construction in both builds, and
+         [interfere] answers membership in them for every ordered pair,
+         e = e' included. *)
+      fast.Conflict.sets = brute.Conflict.sets
+      && List.for_all
+           (fun e ->
+             List.for_all
+               (fun e' -> Conflict.interfere fast e e' = Array.mem e' brute.Conflict.sets.(e))
+               edges)
+           edges)
 
 let test_interference_number_zero () =
   let points = [| pt 0. 0.; pt 1. 0. |] in

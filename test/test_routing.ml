@@ -1361,20 +1361,23 @@ let test_ratios_edge_cases () =
   check_close "cost ratio 3" 3. (Engine.cost_ratio stats opt)
 
 let test_flows_max_hops_honored =
-  qtest "max_hops flows stay short when short pairs exist" ~count:20 seed_gen (fun seed ->
+  qtest "max_hops flows stay short when short pairs exist" ~count:20
+    QCheck2.Gen.(pair seed_gen (int_range 2 4))
+    (fun (seed, k) ->
       let _, g, _ = overlay_instance seed in
       QCheck2.assume (Graph.n g >= 8);
       let rng = Prng.create seed in
       let config = { workload_config with Workload.horizon = 100; attempts = 50 } in
       let w =
-        Workload.flows ~max_hops:2 config ~rng ~graph:g ~cost:Cost.length ~num_flows:3
+        Workload.flows ~max_hops:k config ~rng ~graph:g ~cost:Cost.length ~num_flows:3
       in
-      (* Every injected pair should be within 2 hops (the retry budget is
-         generous and small graphs always have adjacent pairs). *)
+      (* Every injected pair should be within k hops (the retry budget is
+         generous and small graphs always have adjacent pairs); a full
+         BFS is the oracle. *)
       Array.for_all
         (fun l ->
           List.for_all
-            (fun (src, dst) -> (Adhoc_graph.Bfs.hops g ~src).(dst) <= 2)
+            (fun (src, dst) -> (Adhoc_graph.Bfs.hops g ~src).(dst) <= k)
             l)
         w.Workload.injections)
 
@@ -1472,6 +1475,91 @@ let test_engine_pinned_random_mac () =
   check_pinned "random-mac" s ~injected:123 ~dropped:77 ~delivered:6 ~sends:59 ~failed:4
     ~cost:14.846177076478661 ~peak:50 ~remaining:117
 
+(* ------------------------------------------------------------------ *)
+(* Colour-class padding                                                *)
+
+(* The per-candidate scan Pad.active replaced, kept as its oracle: the
+   base as given, then the step's colour class in ascending edge-id
+   order, keeping a class edge iff it is not in the base and no entry of
+   its conflict row is. *)
+let pad_oracle c ~colors ~k ~step base =
+  let in_base e = List.mem e base in
+  let extras =
+    if k = 0 then []
+    else
+      List.filter
+        (fun id ->
+          colors.(id) = step mod k
+          && (not (in_base id))
+          && not (Array.exists in_base c.Conflict.sets.(id)))
+        (List.init (Array.length colors) Fun.id)
+  in
+  base @ extras
+
+let test_pad_matches_scan =
+  qtest "Pad.active = per-candidate conflict-row scan" ~count:100 seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let points = points_of_seed ~min_n:2 ~max_n:60 seed in
+      let range = 2. *. Udg.critical_range points in
+      let g = Theta_alg.overlay (Theta_alg.build ~theta:(Float.pi /. 6.) ~range points) in
+      let c = Conflict.build (Model.make ~delta:(Prng.range rng 0. 1.)) ~points g in
+      let m = Graph.num_edges g in
+      let colors, k = Conflict.greedy_coloring c in
+      let p = Engine.Pad.create c in
+      (* Random bases may repeat edges, so [m] slots need not suffice. *)
+      let into = Array.make ((2 * m) + 8) 0 in
+      let random_edges count = List.init count (fun _ -> Prng.int rng (max m 1)) in
+      (* Several calls on one [Pad.t], so stamps left by earlier steps are
+         exercised too. *)
+      List.for_all
+        (fun _ ->
+          let step = Prng.int rng 1000 in
+          let cls = List.filter (fun e -> k > 0 && colors.(e) = step mod k) (List.init m Fun.id) in
+          let mode = if m = 0 then 0 else Prng.int rng 4 in
+          let base =
+            match mode with
+            | 0 -> []
+            | 1 -> random_edges (1 + Prng.int rng 6)
+            | 2 -> List.filter (fun _ -> Prng.bool rng) cls @ random_edges (Prng.int rng 3)
+            | _ ->
+                (* Blocks the whole class: a conflict neighbour of every
+                   class edge, or the edge itself when it has none. *)
+                List.map
+                  (fun e ->
+                    let row = c.Conflict.sets.(e) in
+                    if Array.length row = 0 then e else row.(Prng.int rng (Array.length row)))
+                  cls
+          in
+          let count = Engine.Pad.active p ~step ~into base in
+          Array.to_list (Array.sub into 0 count) = pad_oracle c ~colors ~k ~step base
+          && (mode <> 3 || count = List.length base))
+        (List.init 8 Fun.id))
+
+(* With no sink attached the padding step must not allocate: 10 000 calls
+   on an n = 1024 instance stay under 64 minor words, which is what the
+   two Gcstat reads around the loop cost themselves. *)
+let test_pad_allocation_free () =
+  let rng = Prng.create 1024 in
+  let points = Adhoc_pointset.Generators.uniform rng 1024 in
+  let range = 1.5 *. Udg.critical_range points in
+  let g = Theta_alg.overlay (Theta_alg.build ~theta:(Float.pi /. 6.) ~range points) in
+  let c = Conflict.build (Model.make ~delta:0.5) ~points g in
+  let m = Graph.num_edges g in
+  let p = Engine.Pad.create c in
+  let into = Array.make m 0 in
+  let bases =
+    Array.init 16 (fun i ->
+        if i = 0 then []
+        else Conflict.max_independent_greedy c (List.init 12 (fun _ -> Prng.int rng m)))
+  in
+  let before = Adhoc_obs.Gcstat.read () in
+  for step = 0 to 9_999 do
+    ignore (Engine.Pad.active p ~step ~into bases.(step land 15))
+  done;
+  let after = Adhoc_obs.Gcstat.read () in
+  let words = (Adhoc_obs.Gcstat.delta ~before ~after).Adhoc_obs.Gcstat.minor_words in
+  if words >= 64. then Alcotest.failf "10000 Pad.active calls allocated %.0f minor words" words
+
 let () =
   Alcotest.run "routing"
     [
@@ -1520,6 +1608,11 @@ let () =
           case "pinned stats: given+pad" test_engine_pinned_given;
           case "pinned stats: csma" test_engine_pinned_csma;
           case "pinned stats: random mac" test_engine_pinned_random_mac;
+        ] );
+      ( "padding",
+        [
+          test_pad_matches_scan;
+          case "allocation-free steps" test_pad_allocation_free;
         ] );
       ( "tracked",
         [
