@@ -1,5 +1,4 @@
 module Graph = Adhoc_graph.Graph
-module Conflict = Adhoc_interference.Conflict
 
 type group = int array
 
@@ -14,138 +13,31 @@ type stats = {
   per_member : (int * int) list;
 }
 
-(* Heights are per (node, group); group members' buffers are absorbing. *)
-type state = {
-  h : int array array;  (* h.(v).(g) *)
-  member : bool array array;  (* member.(g).(v) *)
-  mutable total : int;
-}
-
 let run ?(cooldown = 0) ?pad ~graph ~cost ~params ~groups ~injections ~horizon () =
   let n = Graph.n graph in
-  let ng = Array.length groups in
-  Array.iteri
-    (fun gi g ->
+  Array.iter
+    (fun g ->
       if Array.length g = 0 then invalid_arg "Anycast.run: empty group";
       Array.iter
         (fun v -> if v < 0 || v >= n then invalid_arg "Anycast.run: group member out of range")
-        groups.(gi))
+        g)
     groups;
-  let st =
-    {
-      h = Array.make_matrix n ng 0;
-      member =
-        Array.init ng (fun gi ->
-            let m = Array.make n false in
-            Array.iter (fun v -> m.(v) <- true) groups.(gi);
-            m);
-      total = 0;
-    }
-  in
-  let threshold = params.Balancing.threshold
-  and gamma = params.Balancing.gamma
-  and capacity = params.Balancing.capacity in
-  let edge_cost = Array.init (Graph.num_edges graph) (fun e -> cost (Graph.length graph e)) in
-  let coloring = Option.map Conflict.greedy_coloring pad in
-  let injected = ref 0
-  and dropped = ref 0
-  and delivered = ref 0
-  and sends = ref 0
-  and total_cost = ref 0. in
   let absorbed = Array.make n 0 in
   let steps = horizon + cooldown in
-  for t = 0 to steps - 1 do
-    let active =
-      match coloring with
-      | Some (colors, k) when k > 0 ->
-          let cls = t mod k in
-          Graph.fold_edges graph ~init:[] ~f:(fun acc id _ ->
-              if colors.(id) = cls then id :: acc else acc)
-      | _ -> List.init (Graph.num_edges graph) Fun.id
-    in
-    (* Decide on start-of-step heights. *)
-    let best_toward src dst c =
-      let best = ref None in
-      for g = 0 to ng - 1 do
-        if st.h.(src).(g) > 0 then begin
-          let gain = float_of_int (st.h.(src).(g) - st.h.(dst).(g)) -. (gamma *. c) in
-          if gain > threshold then begin
-            match !best with
-            | Some (_, bgain) when bgain >= gain -> ()
-            | _ -> best := Some (g, gain)
-          end
-        end
-      done;
-      !best
-    in
-    let decisions =
-      List.concat_map
-        (fun e ->
-          let u, v = Graph.endpoints graph e in
-          let c = edge_cost.(e) in
-          List.filter_map
-            (fun (src, dst) ->
-              Option.map (fun (g, gain) -> (e, src, dst, g, gain)) (best_toward src dst c))
-            [ (u, v); (v, u) ])
-        active
-    in
-    (* Absorbing moves first, then larger gains — same contention rule as
-       the unicast engine. *)
-    let decisions =
-      List.stable_sort
-        (fun (_, _, dst_a, ga, a) (_, _, dst_b, gb, b) ->
-          match (st.member.(ga).(dst_a), st.member.(gb).(dst_b)) with
-          | true, false -> -1
-          | false, true -> 1
-          | _ -> Float.compare b a)
-        decisions
-    in
-    List.iter
-      (fun (e, src, dst, g, _) ->
-        if st.h.(src).(g) > 0 then begin
-          incr sends;
-          total_cost := !total_cost +. edge_cost.(e);
-          st.h.(src).(g) <- st.h.(src).(g) - 1;
-          st.total <- st.total - 1;
-          if st.member.(g).(dst) then begin
-            incr delivered;
-            absorbed.(dst) <- absorbed.(dst) + 1
-          end
-          else begin
-            st.h.(dst).(g) <- st.h.(dst).(g) + 1;
-            st.total <- st.total + 1
-          end
-        end)
-      decisions;
-    if t < horizon then
-      List.iter
-        (fun (src, g) ->
-          if g < 0 || g >= ng then invalid_arg "Anycast.run: bad group index";
-          if st.member.(g).(src) then begin
-            incr injected;
-            incr delivered;
-            absorbed.(src) <- absorbed.(src) + 1
-          end
-          else if st.h.(src).(g) >= capacity then incr dropped
-          else begin
-            incr injected;
-            st.h.(src).(g) <- st.h.(src).(g) + 1;
-            st.total <- st.total + 1
-          end)
-        (injections t)
-  done;
-  let per_member =
-    List.concat
-      (Array.to_list
-         (Array.mapi (fun v k -> if k > 0 then [ (v, k) ] else []) absorbed))
+  let s =
+    Engine.run ~who:"Anycast.run" ~params ~heights:Live
+      ~absorb:(Group { members = groups; absorbed })
+      ~injections:(fun t -> if t < horizon then injections t else [])
+      [ { Engine.graph; cost; activation = Rounds pad; steps; epoch = None } ]
   in
   {
     steps;
-    injected = !injected;
-    dropped = !dropped;
-    delivered = !delivered;
-    sends = !sends;
-    total_cost = !total_cost;
-    remaining = st.total;
-    per_member;
+    injected = s.Engine.injected;
+    dropped = s.Engine.dropped;
+    delivered = s.Engine.delivered;
+    sends = s.Engine.sends;
+    total_cost = s.Engine.total_cost;
+    remaining = s.Engine.remaining;
+    per_member =
+      List.filter (fun (_, k) -> k > 0) (List.mapi (fun v k -> (v, k)) (Array.to_list absorbed));
   }

@@ -9,7 +9,8 @@
 
     Buffer heights of every group member are pinned to zero, so the
     gradient naturally pulls each packet toward its cheapest-to-reach
-    member — no explicit nearest-sink computation anywhere. *)
+    member — no explicit nearest-sink computation anywhere.  This is the
+    step kernel ({!Engine.run}) with [Group] absorption. *)
 
 type group = int array
 (** A non-empty set of destination nodes. *)
@@ -37,6 +38,9 @@ val run :
   unit ->
   stats
 (** [injections t] yields [(src, group_index)] packets injected at step [t]
-    ([t < horizon]).  Edges are activated by colour classes of [pad] when
-    given, otherwise every edge is active every step.  Absorption happens
-    the moment a packet is moved onto any member of its group. *)
+    ([t < horizon]); a group index out of range or a source that is not a
+    node raises [Invalid_argument].  Edges are activated by colour classes
+    of [pad] when given (each class in descending edge-id order),
+    otherwise every edge is active every step.  Absorption happens the
+    moment a packet is moved onto (or injected at) any member of its
+    group. *)

@@ -22,17 +22,20 @@ type decision = {
    index on ties — the same order-independent argmax the old hash-order
    scan tie-broke by hand (a qcheck property pins this).  Tracked with
    mutable locals so the scan allocates exactly one decision record. *)
-let best_toward buffers p ~cost ~src ~dst =
+let best_seen buffers seen p ~cost ~src ~dst =
   let penalty = p.gamma *. cost in
   let best_dest = ref (-1) in
   let best_gain = ref neg_infinity in
   Buffers.iter_nonzero buffers src (fun d h_src ->
-      let gain = float_of_int (h_src - Buffers.height buffers dst d) -. penalty in
+      let gain = float_of_int (h_src - Buffers.Sparse.get seen dst d) -. penalty in
       if gain > p.threshold && gain > !best_gain then begin
         best_dest := d;
         best_gain := gain
       end);
   if !best_dest < 0 then None else Some { src; dst; dest = !best_dest; gain = !best_gain }
+
+let best_toward buffers p ~cost ~src ~dst =
+  best_seen buffers (Buffers.heights buffers) p ~cost ~src ~dst
 
 let best_either buffers p ~cost ~u ~v =
   let fwd = best_toward buffers p ~cost ~src:u ~dst:v in

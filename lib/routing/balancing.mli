@@ -29,6 +29,13 @@ val best_toward : Buffers.t -> params -> cost:float -> src:int -> dst:int -> dec
     destination's gain exceeds the threshold.  O(#non-empty buffers at
     [src]).  Ties broken by the lower destination index. *)
 
+val best_seen :
+  Buffers.t -> Buffers.Sparse.t -> params -> cost:float -> src:int -> dst:int -> decision option
+(** {!best_toward} with [dst]'s heights read from the given rows instead
+    of the live buffers: the heights [src] believes its neighbour has
+    (§3.2's advertised heights).  [best_toward b] is
+    [best_seen b (Buffers.heights b)]. *)
+
 val best_either : Buffers.t -> params -> cost:float -> u:int -> v:int -> decision option
 (** The better of the two directions (ties prefer [u → v]). *)
 

@@ -121,6 +121,8 @@ let nodes t = t.n
 
 let height t v d = Sparse.get t.q v d
 
+let heights t = t.q
+
 let set_watcher t f = t.watcher <- Some f
 
 let clear_watcher t = t.watcher <- None

@@ -10,8 +10,8 @@
     traversals. *)
 
 (** Generic sparse integer rows: per-row sorted (key, value) pairs in
-    growable parallel int arrays, values never 0.  Reused by the
-    quantized engine for advertised-height state. *)
+    growable parallel int arrays, values never 0.  The engine reuses them
+    for advertised heights and anycast group membership. *)
 module Sparse : sig
   type t
 
@@ -57,6 +57,11 @@ val nodes : t -> int
 val height : t -> int -> int -> int
 (** [height t v d] is [h_{v,d}].  O(log live) binary search in [v]'s
     nonzero row. *)
+
+val heights : t -> Sparse.t
+(** The live height rows ([height t v d] is [Sparse.get (heights t) v d]),
+    for reading only: writes through them bypass {!total},
+    {!max_height} and the watcher. *)
 
 val inject : t -> cap:int -> int -> int -> bool
 (** [inject t ~cap src dest] adds a packet to [Q_{src,dest}] unless the

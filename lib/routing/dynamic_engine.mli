@@ -6,7 +6,8 @@
 
     Within an epoch, edges are activated by colour classes of the epoch's
     conflict structure (an interference-free TDMA MAC), so each step's
-    active set is valid under the guard-zone model.  Because certifying an
+    active set is valid under the guard-zone model.  Each epoch is one
+    {!Engine.phase} of the step kernel with [Rounds] activation.  Because certifying an
     optimal schedule across adversarial topology changes is exactly the
     intractable OPT, this engine reports absolute delivery metrics rather
     than competitive ratios. *)
@@ -40,7 +41,8 @@ val run :
     [t]; steps count across all epochs.  Packets buffered at a node whose
     current epoch offers no useful edge simply wait — exactly the paper's
     model, where progress resumes whenever the adversary re-enables a
-    path.
+    path.  An injected source or destination that is not a node raises
+    [Invalid_argument] naming [Dynamic_engine.run] and the id.
 
     [obs] behaves as in {!Engine.run_mac_given}: [engine/decide] /
     [engine/apply] spans, [engine.*] counters, the max-height histogram

@@ -1,6 +1,4 @@
 module Graph = Adhoc_graph.Graph
-module Event = Adhoc_obs.Event
-module Sparse = Buffers.Sparse
 
 type stats = {
   base : Engine.stats;
@@ -11,193 +9,18 @@ type stats = {
 let run_mac_given ?(cooldown = 0) ?obs ?pool ?pad ~quantum ~graph ~cost ~params
     (w : Workload.t) =
   if quantum < 0 then invalid_arg "Quantized_engine.run_mac_given: negative quantum";
-  let n = Graph.n graph in
-  let m = Graph.num_edges graph in
-  let buffers = Buffers.create n in
-  let robs = Engine.Run_obs.create obs ~n in
-  let events = Adhoc_obs.events obs in
-  (* Advertised heights: what neighbours believe about each buffer.  Sparse
-     rows (nonzero advertisements only), so memory stays O(n + live). *)
-  let advertised = Sparse.create n in
-  let control = ref 0 in
-  let injected = ref 0
-  and dropped = ref 0
-  and delivered = ref 0
-  and sends = ref 0
-  and total_cost = ref 0.
-  and peak = ref 0 in
-  let edge_cost = Array.init m (fun e -> cost (Graph.length graph e)) in
-  let pad_state = Option.map Engine.Pad.create pad in
-  let active_buf = Array.make (max m 1) 0 in
-  (* A cell can only drift past the quantum if its true height changed
-     since it was last checked, so the advertisement phase needs to look at
-     changed cells only.  The dedup marker is sparse too (1 = queued). *)
-  let cell_dirty = Sparse.create n in
-  let dirty_cells = ref [] in
-  Buffers.set_watcher buffers (fun v d ->
-      if Sparse.get cell_dirty v d = 0 then begin
-        Sparse.set cell_dirty v d 1;
-        dirty_cells := (v, d) :: !dirty_cells
-      end);
-  let node_changed = Array.make n false in
+  let adverts = ref 0 in
   let steps = w.Workload.horizon + cooldown in
-  for t = 0 to steps - 1 do
-    (* Advertisement phase: one broadcast per node whose heights drifted
-       beyond the quantum since last advertised. *)
-    Engine.Run_obs.enter robs "engine/advertise";
-    let announced = ref 0 in
-    List.iter
-      (fun (v, d) ->
-        Sparse.set cell_dirty v d 0;
-        let h = Buffers.height buffers v d in
-        if abs (h - Sparse.get advertised v d) > quantum then begin
-          Sparse.set advertised v d h;
-          if not node_changed.(v) then begin
-            node_changed.(v) <- true;
-            incr announced;
-            match events with
-            | None -> ()
-            | Some log -> Event.height_advert log ~step:t ~node:v
-          end
-        end)
-      !dirty_cells;
-    if !announced > 0 then begin
-      control := !control + !announced;
-      List.iter (fun (v, _) -> node_changed.(v) <- false) !dirty_cells
-    end;
-    dirty_cells := [];
-    Engine.Run_obs.leave robs;
-    let base = if t < w.Workload.horizon then w.Workload.activations.(t) else [] in
-    let count =
-      match pad_state with
-      | Some p -> Engine.Pad.active p ~step:t ~into:active_buf base
-      | None ->
-          let k = ref 0 in
-          List.iter
-            (fun e ->
-              active_buf.(!k) <- e;
-              incr k)
-            base;
-          !k
-    in
-    (* Decisions: the sender knows its own buffers exactly but sees only
-       the advertised heights of its neighbour. *)
-    Engine.Run_obs.enter robs "engine/decide";
-    let best_toward src dst c =
-      Buffers.fold_nonzero buffers src ~init:None ~f:(fun best d h_src ->
-          let gain =
-            float_of_int (h_src - Sparse.get advertised dst d)
-            -. (params.Balancing.gamma *. c)
-          in
-          if gain <= params.Balancing.threshold then best
-          else begin
-            (* [fold_nonzero] ascends in destination order, so keeping only
-               strict gain improvements prefers the smaller destination
-               index on ties — the same argmax as Balancing.best_toward. *)
-            match best with
-            | Some (_, _, bgain) when gain <= bgain -> best
-            | _ -> Some (d, dst, gain)
-          end)
-    in
-    (* Both directions of one active edge, on start-of-step advertised and
-       true heights — pure, so the pair array computed on the pool is
-       bit-identical to the inline scan. *)
-    let decide i =
-      let e = active_buf.(i) in
-      let u, v = Graph.endpoints graph e in
-      let c = edge_cost.(e) in
-      (best_toward u v c, best_toward v u c)
-    in
-    let computed =
-      match pool with
-      | Some p when count > 0 ->
-          Some (Adhoc_util.Pool.parallel_init p ~label:"engine/decide" count decide)
-      | _ -> None
-    in
-    let decisions = ref [] in
-    for i = count - 1 downto 0 do
-      let fwd, bwd = match computed with Some a -> a.(i) | None -> decide i in
-      let e = active_buf.(i) in
-      let u, v = Graph.endpoints graph e in
-      (match bwd with
-      | Some (d, _, gain) -> decisions := (e, v, u, d, gain) :: !decisions
-      | None -> ());
-      match fwd with
-      | Some (d, _, gain) -> decisions := (e, u, v, d, gain) :: !decisions
-      | None -> ()
-    done;
-    let decisions =
-      List.stable_sort
-        (fun (_, _, dst_a, da, a) (_, _, dst_b, db, b) ->
-          match (dst_a = da, dst_b = db) with
-          | true, false -> -1
-          | false, true -> 1
-          | _ -> Float.compare b a)
-        !decisions
-    in
-    Engine.Run_obs.leave robs;
-    Engine.Run_obs.enter robs "engine/apply";
-    List.iter
-      (fun (e, src, dst, d, _) ->
-        if Buffers.height buffers src d > 0 then begin
-          incr sends;
-          total_cost := !total_cost +. edge_cost.(e);
-          Buffers.remove buffers src d;
-          (match events with
-          | None -> ()
-          | Some log ->
-              Event.send log ~step:t ~edge:e ~src ~dst ~dest:d ~cost:edge_cost.(e)
-                ~outcome:(if dst = d then Event.Delivered else Event.Moved);
-              if dst = d then Event.deliver log ~step:t ~dst:d ~self:false);
-          if dst = d then incr delivered
-          else begin
-            Buffers.force_add buffers dst d;
-            peak := max !peak (Buffers.height buffers dst d)
-          end
-        end)
-      decisions;
-    if t < w.Workload.horizon then
-      List.iter
-        (fun (src, dst) ->
-          if Buffers.inject buffers ~cap:params.Balancing.capacity src dst then begin
-            incr injected;
-            (match events with
-            | None -> ()
-            | Some log ->
-                Event.inject log ~step:t ~src ~dst ~admitted:true;
-                if src = dst then Event.deliver log ~step:t ~dst ~self:true);
-            if src = dst then incr delivered
-            else peak := max !peak (Buffers.height buffers src dst)
-          end
-          else begin
-            incr dropped;
-            match events with
-            | None -> ()
-            | Some log -> Event.inject log ~step:t ~src ~dst ~admitted:false
-          end)
-        w.Workload.injections.(t);
-    Engine.Run_obs.leave robs;
-    Engine.Run_obs.sample robs ~buffers ~step:t ~injected:!injected ~delivered:!delivered
-      ~dropped:!dropped ~sends:!sends ~failed_sends:0 ~active_edges:count
-  done;
   let base =
-    {
-      Engine.steps;
-      injected = !injected;
-      dropped = !dropped;
-      delivered = !delivered;
-      sends = !sends;
-      failed_sends = 0;
-      total_cost = !total_cost;
-      peak_height = !peak;
-      remaining = Buffers.total buffers;
-    }
+    Engine.run ?obs ?pool ~who:"Quantized_engine.run_mac_given" ~params
+      ~heights:(Advertised { quantum; adverts }) ~absorb:Destination
+      ~injections:(fun t -> if t < w.Workload.horizon then w.Workload.injections.(t) else [])
+      [ { Engine.graph; cost; activation = Given (w, pad); steps; epoch = None } ]
   in
-  Engine.Run_obs.finish robs base;
   (match obs with
   | None -> ()
   | Some o ->
       Adhoc_obs.Metrics.add
         (Adhoc_obs.Metrics.counter o.Adhoc_obs.metrics "quantized.control_messages")
-        !control);
-  { base; control_messages = !control; full_exchange_messages = steps * n }
+        !adverts);
+  { base; control_messages = !adverts; full_exchange_messages = steps * Graph.n graph }

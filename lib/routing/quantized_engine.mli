@@ -6,7 +6,8 @@
     the full version.  This module implements the natural scheme: every
     node advertises a height only when it has drifted by more than a
     quantum [q] from the last advertised value, and neighbours balance
-    against the *advertised* heights.
+    against the *advertised* heights.  It is the step kernel
+    ({!Engine.run}) with the [Advertised] height view.
 
     With [q = 0] the behaviour (and delivery count) is identical to
     {!Engine.run_mac_given}; growing [q] trades control messages for
@@ -45,5 +46,6 @@ val run_mac_given :
     sink carries an event log.  [None] leaves the run bit-identical.
 
     [pool] fans each step's decision computations (against the advertised
-    heights) out on the domain pool; applications replay sequentially, so
-    results are bit-identical for every pool size. *)
+    heights, through the kernel's decision cache) out on the domain pool;
+    applications replay sequentially, so results are bit-identical for
+    every pool size. *)
