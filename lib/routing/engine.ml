@@ -33,7 +33,14 @@ let cost_ratio s (opt : Workload.opt_stats) =
    changes.  The run's buffer watcher reports changed nodes through
    [touch]; flushing at the start of each step invalidates only the edges
    incident to them.  Per-step work therefore tracks what changed in a
-   neighbourhood instead of rescanning every edge's buffers. *)
+   neighbourhood instead of rescanning every edge's buffers.
+
+   A lazy cache (explicit active sets) refreshes an edge when it is
+   looked up.  An eager one (arbitration, where every edge is a
+   candidate) also queues each edge on [stale] as it turns invalid, so
+   the queue holds exactly the invalid edges, each once: all [m] at
+   creation, then whatever the flushes invalidate.  [refresh_stale]
+   empties it, so a step re-decides only what changed. *)
 module Cache = struct
   type t = {
     graph : Graph.t;
@@ -44,11 +51,14 @@ module Cache = struct
     fwd : Balancing.decision option array;  (* u -> v, by edge id *)
     bwd : Balancing.decision option array;  (* v -> u *)
     valid : bool array;
+    eager : bool;
+    stale : int array;  (* eager only: the invalid edges, first [stale_count] *)
+    mutable stale_count : int;
     mutable dirty : int list;  (* nodes whose heights changed since flush *)
     node_dirty : bool array;
   }
 
-  let create ~graph ~buffers ~seen ~params ~edge_cost =
+  let create ~eager ~graph ~buffers ~seen ~params ~edge_cost =
     let m = Graph.num_edges graph in
     {
       graph;
@@ -59,6 +69,9 @@ module Cache = struct
       fwd = Array.make m None;
       bwd = Array.make m None;
       valid = Array.make m false;
+      eager;
+      stale = (if eager then Array.init m Fun.id else [||]);
+      stale_count = (if eager then m else 0);
       dirty = [];
       node_dirty = Array.make (Graph.n graph) false;
     }
@@ -80,7 +93,14 @@ module Cache = struct
         List.iter
           (fun v ->
             c.node_dirty.(v) <- false;
-            Graph.iter_neighbors c.graph v (fun _ id -> c.valid.(id) <- false))
+            Graph.iter_neighbors c.graph v (fun _ id ->
+                if c.valid.(id) then begin
+                  c.valid.(id) <- false;
+                  if c.eager then begin
+                    c.stale.(c.stale_count) <- id;
+                    c.stale_count <- c.stale_count + 1
+                  end
+                end))
           dirty);
     c.dirty <- []
 
@@ -107,7 +127,20 @@ module Cache = struct
             let e = act.(i) in
             if not c.valid.(e) then refresh c e)
 
-  (* Per-step costs: the edge is re-priced and decided afresh. *)
+  (* Eager caches: refresh every queued edge (fanned out like [prepare]),
+     pass each to [f] in queue order, and empty the queue.  Every edge is
+     valid afterwards, so [f] and the rest of the step read cache hits. *)
+  let refresh_stale ?pool c f =
+    prepare ?pool c c.stale ~count:c.stale_count;
+    for i = 0 to c.stale_count - 1 do
+      let e = c.stale.(i) in
+      if not c.valid.(e) then refresh c e;
+      f e
+    done;
+    c.stale_count <- 0
+
+  (* Per-step costs (lazy caches only): the edge is re-priced and decided
+     afresh. *)
   let reprice c e cost =
     c.edge_cost.(e) <- cost;
     c.valid.(e) <- false
@@ -126,6 +159,62 @@ module Cache = struct
     match (c.fwd.(e), c.bwd.(e)) with
     | None, d | d, None -> d
     | Some f, Some b -> if b.Balancing.gain > f.Balancing.gain then c.bwd.(e) else c.fwd.(e)
+end
+
+(* ------------------------------------------------------------------ *)
+(* The arbitrated request set: every edge whose better direction clears
+   the threshold, as ascending edge ids with each edge's [Mac.request]
+   alongside (parallel arrays, like a {!Buffers.Sparse} row).  An edge
+   enters or leaves by binary search when its refreshed decision appears
+   or disappears, and its record is built only then, so listing the set
+   costs O(requests) and yields exactly what a scan of every edge would:
+   the same records in the same ascending order. *)
+module Requests = struct
+  type t = {
+    ids : int array;  (* strictly ascending, first [count] live *)
+    reqs : Mac.request array;  (* reqs.(i) is edge ids.(i)'s request *)
+    mutable count : int;
+  }
+
+  let none = { Mac.edge = -1; sender = -1; benefit = 0. }
+  let create m = { ids = Array.make m 0; reqs = Array.make m none; count = 0 }
+
+  (* Index of [e] when present, otherwise [lnot insertion_point]. *)
+  let find s e =
+    let lo = ref 0 and hi = ref s.count in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if s.ids.(mid) < e then lo := mid + 1 else hi := mid
+    done;
+    if !lo < s.count && s.ids.(!lo) = e then !lo else lnot !lo
+
+  (* Edge [e]'s decision on this step's heights ([Cache.either]). *)
+  let update s e = function
+    | None ->
+        let i = find s e in
+        if i >= 0 then begin
+          Array.blit s.ids (i + 1) s.ids i (s.count - i - 1);
+          Array.blit s.reqs (i + 1) s.reqs i (s.count - i - 1);
+          s.count <- s.count - 1;
+          s.reqs.(s.count) <- none
+        end
+    | Some (d : Balancing.decision) ->
+        let r = { Mac.edge = e; sender = d.Balancing.src; benefit = d.Balancing.gain } in
+        let i = find s e in
+        if i >= 0 then s.reqs.(i) <- r
+        else begin
+          let i = lnot i in
+          Array.blit s.ids i s.ids (i + 1) (s.count - i);
+          Array.blit s.reqs i s.reqs (i + 1) (s.count - i);
+          s.ids.(i) <- e;
+          s.reqs.(i) <- r;
+          s.count <- s.count + 1
+        end
+
+  (* Ascending edge id; a top-level loop, so only the list cells are
+     allocated. *)
+  let rec cons_down s i acc = if i < 0 then acc else cons_down s (i - 1) (s.reqs.(i) :: acc)
+  let to_list s = cons_down s (s.count - 1) []
 end
 
 (* Colour classes of a conflict graph as flat arrays of edge ids, in
@@ -482,7 +571,8 @@ let run_phase k ?pool ?cost_at ~injections ~first (ph : phase) =
   let m = Graph.num_edges graph in
   let edge_cost = Array.init m (fun e -> ph.cost (Graph.length graph e)) in
   let seen = match k.adverts with None -> Buffers.heights k.buffers | Some a -> a.advertised in
-  let cache = Cache.create ~graph ~buffers:k.buffers ~seen ~params:k.params ~edge_cost in
+  let eager = match ph.activation with Arbitrated _ -> true | Given _ | Rounds _ -> false in
+  let cache = Cache.create ~eager ~graph ~buffers:k.buffers ~seen ~params:k.params ~edge_cost in
   (* The advertised view is exact through the cache: an advertisement
      only changes a cell whose true height changed during the previous
      step, and that change already touched the node, so the next flush
@@ -590,26 +680,21 @@ let run_phase k ?pool ?cost_at ~injections ~first (ph : phase) =
         | None -> ()
         | Some d -> attempt k ~step:t ~edge:e ~cost:edge_cost.(e) d ~collided:(collided e)
       in
-      (* Every edge is a candidate each step. *)
-      let all_edges = Array.init m Fun.id in
+      (* Every edge is a candidate each step, but only an edge at a node
+         whose heights changed can change its request: the eager cache
+         queues exactly those, and the request set follows them. *)
+      let requests = Requests.create m in
+      let note e = Requests.update requests e (Cache.either cache e) in
       for t = first to first + ph.steps - 1 do
         advertise_step t;
         (* Requests: the best prospective send per edge on the step's
            starting heights; the MAC arbitrates outside the engine spans. *)
         span_enter k "engine/decide";
         Cache.flush cache;
-        Cache.prepare ?pool cache all_edges ~count:m;
-        let requests = ref [] in
-        for e = m - 1 downto 0 do
-          match Cache.either cache e with
-          | None -> ()
-          | Some d ->
-              requests :=
-                { Mac.edge = e; sender = d.Balancing.src; benefit = d.Balancing.gain }
-                :: !requests
-        done;
+        Cache.refresh_stale ?pool cache note;
+        let asked = Requests.to_list requests in
         span_leave k;
-        let granted = mac.Mac.select ~step:t !requests in
+        let granted = mac.Mac.select ~step:t asked in
         span_enter k "engine/apply";
         if conflict_adj <> None then
           List.iter (fun (r : Mac.request) -> granted_mark.(r.Mac.edge) <- true) granted;
