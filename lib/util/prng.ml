@@ -1,38 +1,46 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: an [int64] record field
+   would be a boxed value, so every draw would allocate a fresh state. *)
+type t = Bytes.t
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
 (* SplitMix64 finalizer: two xor-shift-multiply rounds. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let create seed = { state = mix (Int64.of_int seed) }
+let of_state s =
+  let g = Bytes.create 8 in
+  Bytes.set_int64_ne g 0 s;
+  g
 
-let copy g = { state = g.state }
+let create seed = of_state (mix (Int64.of_int seed))
 
-let bits64 g =
-  g.state <- Int64.add g.state golden_gamma;
-  mix g.state
+let copy = Bytes.copy
 
-let split g = { state = bits64 g }
+let[@inline] bits64 g =
+  let s = Int64.add (Bytes.get_int64_ne g 0) golden_gamma in
+  Bytes.set_int64_ne g 0 s;
+  mix s
+
+let split g = of_state (bits64 g)
 
 (* Non-negative 62-bit int from the high bits. *)
 let bits g = Int64.to_int (Int64.shift_right_logical (bits64 g) 2)
 
+(* Rejection sampling to avoid modulo bias.  A top-level loop, not a
+   local closure, so a draw allocates nothing. *)
+let rec below g n =
+  let r = bits g land 0x3FFF_FFFF_FFFF_FFFF in
+  let v = r mod n in
+  if r - v + (n - 1) < 0 then below g n else v
+
 let int g n =
   if n <= 0 then invalid_arg "Prng.int: bound must be positive";
-  (* Rejection sampling to avoid modulo bias. *)
-  let mask = 0x3FFF_FFFF_FFFF_FFFF in
-  let rec draw () =
-    let r = bits g land mask in
-    let v = r mod n in
-    if r - v + (n - 1) < 0 then draw () else v
-  in
-  draw ()
+  below g n
 
-let uniform g =
+let[@inline] uniform g =
   (* 53 random bits into [0,1). *)
   let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 11) in
   float_of_int r *. 0x1p-53
