@@ -19,8 +19,8 @@
    and its "bitident:*" pins (1 only after the event-log / live-stream
    byte comparison across the jobs grid passed); B3 and E7 must carry a
    non-null "live" summary (null means the live probe silently didn't
-   run).  Version-1/2/3/4/5 documents are rejected with dedicated
-   errors.
+   run).  Any other schema, older versions included, is rejected as
+   unknown.
 
      json_check FILE          exits 0 and prints a summary if the file is valid
      json_check --jsonl FILE  validates a per-step trace: every line one JSON
@@ -350,40 +350,6 @@ let check_document file =
   | Obj fields -> (
       (match List.assoc_opt "schema" fields with
       | Some (Str "adhoc-bench/6") -> ()
-      | Some (Str "adhoc-bench/1") ->
-          Printf.eprintf
-            "%s: version-1 document (adhoc-bench/1); this checker validates \
-             adhoc-bench/6 — regenerate with the current bench harness\n"
-            file;
-          exit 1
-      | Some (Str "adhoc-bench/2") ->
-          Printf.eprintf
-            "%s: version-2 document (adhoc-bench/2, no \"jobs\" member); this \
-             checker validates adhoc-bench/6 — regenerate with the current \
-             bench harness\n"
-            file;
-          exit 1
-      | Some (Str "adhoc-bench/3") ->
-          Printf.eprintf
-            "%s: version-3 document (adhoc-bench/3, no GC/profiling members); \
-             this checker validates adhoc-bench/6 — regenerate with the \
-             current bench harness\n"
-            file;
-          exit 1
-      | Some (Str "adhoc-bench/4") ->
-          Printf.eprintf
-            "%s: version-4 document (adhoc-bench/4, no \"live\" member); this \
-             checker validates adhoc-bench/6 — regenerate with the current \
-             bench harness\n"
-            file;
-          exit 1
-      | Some (Str "adhoc-bench/5") ->
-          Printf.eprintf
-            "%s: version-5 document (adhoc-bench/5, no B4 routing-throughput \
-             sweep); this checker validates adhoc-bench/6 — regenerate with \
-             the current bench harness\n"
-            file;
-          exit 1
       | Some (Str other) ->
           Printf.eprintf "%s: unknown schema %S (expected \"adhoc-bench/6\")\n" file other;
           exit 1
@@ -645,8 +611,6 @@ let check_lint_report file =
   in
   (match List.assoc_opt "schema" fields with
   | Some (Str "adhoc-lint/2") -> ()
-  | Some (Str "adhoc-lint/1") ->
-      fail "obsolete schema \"adhoc-lint/1\"; rebuild the report with the two-layer tool"
   | Some (Str other) -> fail "unknown schema %S (expected \"adhoc-lint/2\")" other
   | _ -> fail "missing \"schema\" member");
   let num name =
