@@ -15,7 +15,10 @@
     - {!run_with_mac} — Scenarios 2 and 3 (Theorems 3.3 / 3.8): the router
       sees the whole topology, a {!Adhoc_mac.Mac.t} grants transmission
       attempts, and granted attempts that still interfere all fail (both
-      packets stay, the transmission energy is spent).
+      packets stay, the transmission energy is spent).  Although every
+      edge is a candidate, a step costs O(stale edges + requests), not
+      O(m): only edges at a node whose heights changed are re-decided
+      (see {!Arbitrated}).
     - {!Dynamic_engine}, {!Quantized_engine} and {!Anycast} run the same
       kernel over colour-class epochs, §3.2's advertised heights and
       absorbing destination groups. *)
@@ -82,7 +85,17 @@ type activation =
       (** every edge requests its better direction, the MAC grants, and
           granted edges that interfere under the conflict graph collide.
           Arbitration runs outside the [engine/decide] and [engine/apply]
-          spans. *)
+          spans.
+
+          An edge's request depends only on the heights at its two
+          endpoints, so a step re-decides only the edges at nodes whose
+          heights changed during the previous step (all of them on a
+          phase's first step), and the requesting edges are kept as a
+          sorted set updated from those.  The decide phase therefore
+          costs O(stale edges + requests) instead of O(m).  The MAC's
+          input is unchanged: the same requests, with the same values,
+          in ascending edge id, as a scan of every edge would list them,
+          so a randomized MAC draws the same coins. *)
 
 (** Which heights a sender sees at its neighbour. *)
 type heights =
