@@ -11,8 +11,8 @@ let theta_default = Float.pi /. 6.
 
 (* Ambient observability sink.  The harness installs a fresh sink around
    each experiment; experiments thread [current_obs ()] into the pipeline
-   so the v2 JSON output can embed span timings, metric snapshots and a
-   trace pointer per experiment. *)
+   so the v2 JSON output can embed span timings and metric snapshots per
+   experiment. *)
 let obs_sink : Obs.sink option ref = ref None
 
 let current_obs () = !obs_sink
@@ -176,7 +176,7 @@ let live_json l =
   Json.Obj
     [
       ("window", Json.Int (Obs.Live.window_size l));
-      ("top_k", Json.Int (Obs.Live.top_k l));
+      ("top_k", Json.Int Obs.Live.top_k);
       ("steps", Json.Int c.Obs.Live.steps);
       ("events", Json.Int c.Obs.Live.events);
       ("windows", Json.Int c.Obs.Live.windows);

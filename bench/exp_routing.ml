@@ -28,7 +28,8 @@ let live_probe () =
   let rng, b = uniform_instance 1000 150 in
   let events = Obs.Event.create () in
   let live = Obs.Live.create ~window:500 () in
-  let obs = Obs.create ~events ~live () in
+  Obs.Live.attach live events;
+  let obs = Obs.create ~events () in
   let horizon = 4000 in
   let r =
     Pipeline.run_scenario1 ~obs ~epsilon:0.5 ~horizon ~attempts:(2 * horizon) ~flows:2 ~rng b

@@ -123,8 +123,8 @@ let slurp file =
 let streams ?pool inst =
   let events = Obs.Event.create () in
   let live = Obs.Live.create ~window:50 () in
-  (* Obs.create attaches [live] to [events] as an online observer. *)
-  let sink = Obs.create ~events ~live () in
+  Obs.Live.attach live events;
+  let sink = Obs.create ~events () in
   let stats = route ~obs:sink ?pool inst in
   let tmp = Filename.temp_file "adhoc-b4" ".jsonl" in
   Fun.protect

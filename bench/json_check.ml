@@ -1,5 +1,5 @@
 (* Well-formedness check for the bench harness's --json output and the
-   engines' JSONL traces.
+   other JSON documents the tools write.
 
    The toolchain ships no JSON library, so this is a small recursive-descent
    parser covering the full JSON grammar.  Beyond syntax it checks the
@@ -9,10 +9,12 @@
    objects each carrying "id", "seconds", "metrics", well-formed "spans"
    (label / count / seconds), an "obs" metric snapshot, a "live" member
    (the live-telemetry cumulative summary, or null for experiments that
-   ran no recorder) and "trace" / "chrome_trace" pointers (string or
-   null).  The B2 and B4 scaling experiments must additionally snapshot
-   nonzero pool.regions / pool.items counters — zero means the sweep's
-   per-jobs pools were not attached to the obs sink — and record at
+   ran no recorder) and a "chrome_trace" pointer (string or null).
+   Documents written before the per-step trace recorder was folded into
+   the live windows also carry "trace": null; nothing reads it.  The B2
+   and B4 scaling experiments must additionally snapshot nonzero
+   pool.regions / pool.items counters — zero means the sweep's per-jobs
+   pools were not attached to the obs sink — and record at
    least one nonzero "pool.imbalance:*" and one nonzero "gc:*" headline
    metric (zeros mean the profiled pass never ran); B4 must also record
    nonzero "steps_per_sec:*" / "decisions_per_sec:*" throughput metrics
@@ -23,8 +25,6 @@
    unknown.
 
      json_check FILE          exits 0 and prints a summary if the file is valid
-     json_check --jsonl FILE  validates a per-step trace: every line one JSON
-                              object with a numeric "step" member
      json_check --live FILE   validates an adhoc-live/1 snapshot stream
                               (route --live / analyze --replay-live):
                               header, consecutive tumbling windows, one
@@ -247,9 +247,6 @@ let experiment_ok = function
       && (match List.assoc_opt "live" fields with
          | Some Null -> true
          | Some (Obj lf) -> live_member_ok lf
-         | _ -> false)
-      && (match List.assoc_opt "trace" fields with
-         | Some (Str _ | Null) -> true
          | _ -> false)
       && (match List.assoc_opt "chrome_trace" fields with
          | Some (Str _ | Null) -> true
@@ -903,37 +900,9 @@ let check_live file =
         records;
       Printf.printf "%s: ok (%d windows + final, window = %d steps)\n" file !nwindows window
 
-(* One JSON object per non-empty line, each with a numeric "step". *)
-let check_jsonl file =
-  let lines =
-    String.split_on_char '\n' (read_file file) |> List.filter (fun l -> l <> "")
-  in
-  if lines = [] then begin
-    Printf.eprintf "%s: empty trace\n" file;
-    exit 1
-  end;
-  List.iteri
-    (fun i line ->
-      match parse line with
-      | exception Bad msg ->
-          Printf.eprintf "%s:%d: invalid JSON: %s\n" file (i + 1) msg;
-          exit 1
-      | Obj fields -> (
-          match List.assoc_opt "step" fields with
-          | Some (Num _) -> ()
-          | _ ->
-              Printf.eprintf "%s:%d: sample lacks a numeric \"step\"\n" file (i + 1);
-              exit 1)
-      | _ ->
-          Printf.eprintf "%s:%d: line is not a JSON object\n" file (i + 1);
-          exit 1)
-    lines;
-  Printf.printf "%s: ok (%d samples)\n" file (List.length lines)
-
 let () =
   match Sys.argv with
   | [| _; f |] -> check_document f
-  | [| _; "--jsonl"; f |] -> check_jsonl f
   | [| _; "--live"; f |] -> check_live f
   | [| _; "--lint"; f |] -> check_lint_report f
   | [| _; "--chrome-trace"; f |] -> check_chrome_trace f
@@ -947,7 +916,6 @@ let () =
   | _ ->
       prerr_endline
         "usage: json_check FILE\n\
-        \       json_check --jsonl FILE\n\
         \       json_check --live FILE\n\
         \       json_check --lint FILE\n\
         \       json_check --chrome-trace FILE\n\

@@ -5,8 +5,6 @@
      dune exec bench/main.exe -- quick     # skip the slowest routing sweeps
      dune exec bench/main.exe -- quick --json out.json
                                            # also write machine-readable results
-     dune exec bench/main.exe -- e7 --json out.json --trace-dir traces
-                                           # + one per-step JSONL trace per experiment
      dune exec bench/main.exe -- quick --chrome-trace-dir traces
                                            # + one Chrome trace-event file per experiment
 
@@ -24,9 +22,8 @@
    the experiment recorded, the observability layer's span timings (with
    per-span GC deltas) and metric snapshot, the live-telemetry cumulative
    summary when the experiment ran an Obs.Live recorder ("live", null
-   otherwise), and pointers to the experiment's trace / chrome-trace files
-   when --trace-dir / --chrome-trace-dir were given (see EXPERIMENTS.md
-   for the schema). *)
+   otherwise), and a pointer to the experiment's chrome-trace file when
+   --chrome-trace-dir was given (see EXPERIMENTS.md for the schema). *)
 
 module Obs = Adhoc.Obs
 
@@ -90,7 +87,6 @@ type outcome = {
   spans : Obs.Span.total list;
   obs_snapshot : (string * Obs.Metrics.value) list;
   live : Common.Json.t;  (* cumulative live-telemetry summary, or Null *)
-  trace_file : string option;
   chrome_file : string option;
 }
 
@@ -133,14 +129,12 @@ let outcome_json o =
       ("spans", List (List.map span_json o.spans));
       ("obs", Obj (List.map (fun (n, v) -> (n, metric_value_json v)) o.obs_snapshot));
       ("live", o.live);
-      ("trace", match o.trace_file with None -> Null | Some f -> String f);
       ("chrome_trace", match o.chrome_file with None -> Null | Some f -> String f);
     ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   let json_file, args = split_opt "--json" [] args in
-  let trace_dir, args = split_opt "--trace-dir" [] args in
   let chrome_dir, args = split_opt "--chrome-trace-dir" [] args in
   let jobs_arg, args = split_opt "--jobs" [] args in
   let jobs =
@@ -171,7 +165,6 @@ let () =
         Printf.eprintf "%s: %s: %s\n" flag dir (Unix.error_message e);
         exit 1
   in
-  Option.iter (ensure_dir "--trace-dir") trace_dir;
   Option.iter (ensure_dir "--chrome-trace-dir") chrome_dir;
   let selected =
     match args with
@@ -192,17 +185,12 @@ let () =
       | Some (_, title, f) ->
           ignore (Common.take_metrics ());
           ignore (Common.take_live ());
-          (* A fresh sink per experiment so spans, metrics and traces are
-             attributed to exactly one run; experiments pick it up through
-             Common.current_obs. *)
-          let trace =
-            Option.map (fun _ -> Obs.Trace.create ~stride:10 ()) trace_dir
-          in
-          (* One recorder per experiment so Chrome exports are attributed
-             to exactly one run; GC span deltas are always on here — the
-             harness is measuring anyway. *)
+          (* A fresh sink and recorder per experiment so spans, metrics and
+             Chrome exports are attributed to exactly one run; experiments
+             pick the sink up through Common.current_obs.  GC span deltas
+             are always on here — the harness is measuring anyway. *)
           let domprof = Option.map (fun _ -> Obs.Domprof.create ()) chrome_dir in
-          let sink = Obs.create ?trace ?domprof ~gc:true () in
+          let sink = Obs.create ?domprof ~gc:true () in
           Common.obs_sink := Some sink;
           (* Pool regions surface as "pool/<label>" spans and counters in
              this experiment's snapshot; only top-level owner-domain
@@ -213,14 +201,6 @@ let () =
           let seconds = Unix.gettimeofday () -. t0 in
           Obs.detach_pool pool;
           Common.obs_sink := None;
-          let trace_file =
-            match (trace_dir, sink.Obs.trace) with
-            | Some dir, Some tr when Obs.Trace.length tr > 0 ->
-                let file = Filename.concat dir (id ^ ".jsonl") in
-                Obs.Trace.save_jsonl tr file;
-                Some file
-            | _ -> None
-          in
           let chrome_file =
             match (chrome_dir, domprof) with
             | Some dir, Some dp when Obs.Domprof.length dp > 0 ->
@@ -238,7 +218,6 @@ let () =
               spans = Obs.Span.totals sink.Obs.spans;
               obs_snapshot = Obs.Metrics.snapshot sink.Obs.metrics;
               live = Common.take_live ();
-              trace_file;
               chrome_file;
             }
             :: !results

@@ -17,11 +17,29 @@ module Table = Util.Table
 (* ------------------------------------------------------------------ *)
 (* Shared options                                                      *)
 
+(* Range-checked numeric converters: a value the library would reject
+   becomes a usage error that names the option, before anything runs. *)
+let checked conv ok expected =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when not (ok v) ->
+        Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expected))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let int_at_least lo = checked Arg.int (fun v -> v >= lo) (Printf.sprintf "an integer >= %d" lo)
+
 let seed_t =
   Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed (deterministic runs).")
 
+(* Fewer than two nodes leave no source-destination pair to route or
+   measure, so every subcommand rejects them. *)
 let nodes_t =
-  Arg.(value & opt int 200 & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes.")
+  Arg.(
+    value
+    & opt (int_at_least 2) 200
+    & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes (at least 2).")
 
 let theta_t =
   Arg.(
@@ -203,28 +221,17 @@ let route_cmd =
           ~doc:"mac-given (Thm 3.1), random-mac (Thm 3.3) or honeycomb (Thm 3.8).")
   in
   let horizon_t =
-    Arg.(value & opt int 4000 & info [ "horizon" ] ~docv:"T" ~doc:"Injection horizon (steps).")
+    Arg.(
+      value & opt (int_at_least 1) 4000
+      & info [ "horizon" ] ~docv:"T" ~doc:"Injection horizon (steps).")
   in
   let flows_t =
-    Arg.(value & opt int 2 & info [ "flows" ] ~docv:"F" ~doc:"Number of sustained flows.")
+    Arg.(
+      value & opt (int_at_least 1) 2 & info [ "flows" ] ~docv:"F" ~doc:"Number of sustained flows.")
   in
   let epsilon_t =
-    Arg.(value & opt float 0.5 & info [ "epsilon" ] ~docv:"E" ~doc:"Throughput slack ε ∈ (0,1).")
-  in
-  let trace_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "trace" ] ~docv:"FILE"
-          ~doc:
-            "Record a per-step trace and write it to $(docv) after the run — JSONL by \
-             default, CSV when $(docv) ends in .csv.")
-  in
-  let trace_stride_t =
-    Arg.(
-      value & opt int 1
-      & info [ "trace-stride" ] ~docv:"S"
-          ~doc:"Record every $(docv)-th step of the trace (default 1: every step).")
+    let slack = checked Arg.float (fun e -> e > 0. && e < 1.) "a number in (0, 1)" in
+    Arg.(value & opt slack 0.5 & info [ "epsilon" ] ~docv:"E" ~doc:"Throughput slack ε ∈ (0,1).")
   in
   let metrics_t =
     Arg.(
@@ -322,9 +329,12 @@ let route_cmd =
   in
   let live_window_t =
     Arg.(
-      value & opt int 250
+      value & opt (int_at_least 1) 250
       & info [ "live-window" ] ~docv:"STEPS"
-          ~doc:"Tumbling-window size in simulation steps for --live (default 250).")
+          ~doc:
+            "Tumbling-window size in simulation steps for --live (default 250).  With 1, \
+             the stream is the per-step series: every step's injected, delivered, \
+             dropped, sends and collisions, and the packets buffered at its end.")
   in
   let live_prom_t =
     Arg.(
@@ -336,27 +346,28 @@ let route_cmd =
              Prometheus text exposition format (turns the live recorder on even without \
              --live).")
   in
-  let run jobs seed n theta range_factor delta dist scenario horizon flows epsilon trace_file
-      trace_stride metrics events_file check_invariants chrome_file live_file live_window
-      live_prom =
+  let run jobs seed n theta range_factor delta dist scenario horizon flows epsilon metrics
+      events_file check_invariants chrome_file live_file live_window live_prom =
     with_jobs jobs @@ fun pool ->
-    let trace = Option.map (fun _ -> Obs.Trace.create ~stride:trace_stride ()) trace_file in
-    let live =
-      if live_file <> None || live_prom <> None then
-        Some (Obs.Live.create ~window:live_window ())
+    let want_live = live_file <> None || live_prom <> None in
+    let events =
+      if events_file <> None || check_invariants || want_live then Some (Obs.Event.create ())
       else None
     in
-    let events =
-      if events_file <> None || check_invariants || live <> None then
-        Some (Obs.Event.create ())
-      else None
+    let live =
+      match events with
+      | Some log when want_live ->
+          let l = Obs.Live.create ~window:live_window () in
+          Obs.Live.attach l log;
+          Some l
+      | _ -> None
     in
     let domprof = Option.map (fun _ -> Obs.Domprof.create ()) chrome_file in
     let obs =
-      if trace <> None || metrics || events <> None || domprof <> None then
+      if metrics || events <> None || domprof <> None then
         (* GC telemetry rides with --metrics: that is the only reporter of
            the per-span deltas, and the default path stays read-free. *)
-        Some (Obs.create ?trace ?events ?domprof ?live ~gc:metrics ())
+        Some (Obs.create ?events ?domprof ~gc:metrics ())
       else None
     in
     Option.iter (fun o -> Obs.attach_pool o pool) obs;
@@ -394,13 +405,6 @@ let route_cmd =
       r.Pipeline.stats.Routing.Engine.failed_sends;
     Printf.printf "dropped / remaining %d / %d\n" r.Pipeline.stats.Routing.Engine.dropped
       r.Pipeline.stats.Routing.Engine.remaining;
-    (match (obs, trace_file) with
-    | Some { Obs.trace = Some tr; _ }, Some file ->
-        if Filename.check_suffix file ".csv" then Obs.Trace.save_csv tr file
-        else Obs.Trace.save_jsonl tr file;
-        Printf.printf "wrote %s (%d samples, stride %d)\n" file (Obs.Trace.length tr)
-          (Obs.Trace.stride tr)
-    | _ -> ());
     (match (events, events_file) with
     | Some log, Some file ->
         Obs.Event.save_jsonl log file;
@@ -443,8 +447,8 @@ let route_cmd =
     (Cmd.info "route" ~doc:"Run a balancing-routing scenario against a certified adversary.")
     Term.(
       const run $ jobs_t $ seed_t $ nodes_t $ theta_t $ range_factor_t $ delta_t $ dist_t
-      $ scenario_t $ horizon_t $ flows_t $ epsilon_t $ trace_t $ trace_stride_t $ metrics_t
-      $ events_t $ check_invariants_t $ chrome_trace_t $ live_t $ live_window_t $ live_prom_t)
+      $ scenario_t $ horizon_t $ flows_t $ epsilon_t $ metrics_t $ events_t $ check_invariants_t
+      $ chrome_trace_t $ live_t $ live_window_t $ live_prom_t)
 
 (* ------------------------------------------------------------------ *)
 (* analyze                                                             *)
@@ -486,7 +490,7 @@ let analyze_cmd =
   in
   let live_window_t =
     Arg.(
-      value & opt int 250
+      value & opt (int_at_least 1) 250
       & info [ "live-window" ] ~docv:"STEPS"
           ~doc:"Tumbling-window size in simulation steps for --replay-live (default 250).")
   in

@@ -23,7 +23,7 @@ type built = {
   interference_number : int;
 }
 
-let prepare ?(delta = 0.5) ?kappa:_ ?obs ?pool ~theta ~range points =
+let prepare ?(delta = 0.5) ?obs ?pool ~theta ~range points =
   let time label f = Adhoc_obs.time obs label f in
   let gstar = time "prepare/gstar" (fun () -> Udg.build ?pool ~range points) in
   let alg = time "prepare/theta-alg" (fun () -> Theta_alg.build ?pool ~theta ~range points) in

@@ -20,16 +20,14 @@ type built = {
 
 val prepare :
   ?delta:float ->
-  ?kappa:float ->
   ?obs:Adhoc_obs.sink ->
   ?pool:Adhoc_util.Pool.t ->
   theta:float ->
   range:float ->
   Adhoc_geom.Point.t array ->
   built
-(** Builds G*, 𝒩 and the conflict structure.  [delta] defaults to [0.5];
-    [kappa] (default 2.) is recorded for the cost model used by the
-    runs.  [obs] attributes the build phases to spans ([prepare/gstar],
+(** Builds G*, 𝒩 and the conflict structure.  [delta] defaults to [0.5].
+    [obs] attributes the build phases to spans ([prepare/gstar],
     [prepare/theta-alg], [prepare/conflict]) and records topology gauges
     ([topo.nodes], [topo.overlay_edges], [topo.interference_number]).
     [pool] parallelizes the three build phases' per-node/per-edge loops;

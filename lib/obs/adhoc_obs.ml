@@ -1,6 +1,5 @@
 module Metrics = Metrics
 module Span = Span
-module Trace = Trace
 module Event = Event
 module Invariants = Invariants
 module Sketch = Sketch
@@ -14,25 +13,12 @@ module Chrome_trace = Chrome_trace
 type sink = {
   metrics : Metrics.t;
   spans : Span.t;
-  trace : Trace.t option;
   events : Event.log option;
   domprof : Domprof.t option;
-  live : Live.t option;
 }
 
-let create ?trace ?events ?domprof ?live ?(gc = false) () =
-  (match live, events with
-  | Some l, Some log -> Live.attach l log
-  | Some _, None -> invalid_arg "Adhoc_obs.create: ~live requires ~events (it folds the event log)"
-  | None, _ -> ());
-  {
-    metrics = Metrics.create ();
-    spans = Span.create ~gc ?domprof ();
-    trace;
-    events;
-    domprof;
-    live;
-  }
+let create ?events ?domprof ?(gc = false) () =
+  { metrics = Metrics.create (); spans = Span.create ~gc ?domprof (); events; domprof }
 
 let time obs label f =
   match obs with None -> f () | Some o -> Span.time o.spans label f
@@ -97,5 +83,3 @@ let attach_pool ?domprof o pool =
 let detach_pool pool = Adhoc_util.Pool.set_hooks pool None
 
 let events obs = match obs with Some { events = Some log; _ } -> Some log | _ -> None
-
-let live obs = match obs with Some { live = Some l; _ } -> Some l | _ -> None

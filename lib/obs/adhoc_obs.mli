@@ -10,11 +10,11 @@
     - {!Span} — nestable wall-clock timing scopes accumulated per label
       ([prepare], [workload/certify], [engine/…], [mac/…]), optionally
       with per-span {!Gcstat} deltas ([create ~gc:true]);
-    - {!Trace} — an optional per-step sample recorder with JSONL and CSV
-      sinks (see [adhoc_sim route --trace]);
     - {!Event} — an optional per-packet event log (inject / send /
       deliver / collide / epoch / advert), the flight recorder behind
-      [adhoc_sim analyze] and the {!Invariants} checker;
+      [adhoc_sim analyze], the {!Invariants} checker and the {!Live}
+      step-keyed windows (the per-step series: attach a recorder to the
+      log with [Live.attach]);
     - {!Domprof} — an optional per-domain profiling timeline fed by the
       pool's region/chunk hooks and the span profiler, exportable as a
       Chrome/Perfetto trace via {!Chrome_trace} (see
@@ -27,16 +27,19 @@
     Typical use:
     {[
       let dp = Adhoc_obs.Domprof.create () in
-      let obs = Adhoc_obs.create ~domprof:dp ~gc:true () in
+      let events = Adhoc_obs.Event.create () in
+      let live = Adhoc_obs.Live.create ~window:1 () in
+      Adhoc_obs.Live.attach live events;
+      let obs = Adhoc_obs.create ~events ~domprof:dp ~gc:true () in
       Adhoc_obs.attach_pool obs pool;
       let r = Pipeline.run_scenario1 ~obs ~rng built in
       Adhoc_obs.Chrome_trace.save dp "profile.trace.json";
+      Adhoc_obs.Live.save_jsonl live "steps.jsonl";
       List.iter … (Adhoc_obs.Span.totals obs.spans)
     ]} *)
 
 module Metrics = Metrics
 module Span = Span
-module Trace = Trace
 module Event = Event
 module Invariants = Invariants
 module Sketch = Sketch
@@ -50,34 +53,19 @@ module Chrome_trace = Chrome_trace
 type sink = {
   metrics : Metrics.t;
   spans : Span.t;
-  trace : Trace.t option;  (** no per-step trace unless provided *)
   events : Event.log option;  (** no per-packet event log unless provided *)
   domprof : Domprof.t option;  (** no per-domain timeline unless provided *)
-  live : Live.t option;  (** no live streaming analytics unless provided *)
 }
 
-val create :
-  ?trace:Trace.t ->
-  ?events:Event.log ->
-  ?domprof:Domprof.t ->
-  ?live:Live.t ->
-  ?gc:bool ->
-  unit ->
-  sink
+val create : ?events:Event.log -> ?domprof:Domprof.t -> ?gc:bool -> unit -> sink
 (** A sink with fresh metrics and span state.  [~gc:true] turns on
     per-span GC deltas (default off); [~domprof] threads the recorder
     into the span profiler (span instances become timeline scopes) and
-    makes it the default recorder for {!attach_pool}.  [~live] attaches
-    the recorder to [~events] as an online observer (raises
-    [Invalid_argument] without an event log — the live layer folds the
-    event stream). *)
+    makes it the default recorder for {!attach_pool}. *)
 
 val events : sink option -> Event.log option
 (** The sink's event log, when both are present — the single [match] the
     engines hoist out of their hot loops. *)
-
-val live : sink option -> Live.t option
-(** The sink's live recorder, when both are present. *)
 
 val time : sink option -> string -> (unit -> 'a) -> 'a
 (** [time obs label f] runs [f] inside a span when [obs] is [Some], and

@@ -339,12 +339,26 @@ let load_jsonl file =
               | _ -> (
                   let events = ref [] in
                   let line_no = ref 1 in
+                  (* The emitters' step contract, which every step-keyed
+                     reader relies on: no step is negative or below the
+                     previous line's. *)
+                  let last = ref 0 in
                   try
                     (try
                        while true do
                          let line = input_line ic in
                          incr line_no;
-                         if line <> "" then events := parse_event line :: !events
+                         if line <> "" then begin
+                           let e = parse_event line in
+                           let s = step e in
+                           if s < !last then
+                             raise
+                               (Parse
+                                  (if s < 0 then Printf.sprintf "negative step %d" s
+                                   else Printf.sprintf "step %d after step %d" s !last));
+                           last := s;
+                           events := e :: !events
+                         end
                        done
                      with End_of_file -> ());
                     Ok (Array.of_list (List.rev !events))

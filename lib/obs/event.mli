@@ -1,9 +1,9 @@
 (** Packet-journey event log: a compact, typed flight recorder.
 
-    Aggregate metrics and per-step traces (PR 2) cannot express the
-    paper's per-packet guarantees — Theorem 3.1 bounds individual
-    deliveries, not step averages.  This log records every packet-level
-    action an engine takes, in order, as one of six typed events.  The
+    Aggregate metrics and step counters cannot express the paper's
+    per-packet guarantees — Theorem 3.1 bounds individual deliveries,
+    not step averages.  This log records every packet-level action an
+    engine takes, in order, as one of six typed events.  The
     in-memory representation is a pair of growable flat arrays (7 ints +
     1 float per event), so recording costs a handful of stores and no
     per-event allocation; the variant view is materialized only on read.
@@ -127,6 +127,7 @@ val write_jsonl : log -> out_channel -> unit
 val save_jsonl : log -> string -> unit
 
 val load_jsonl : string -> (t array, string) result
-(** Parse a file written by {!save_jsonl}.  Checks the schema header and
-    every line; [Error msg] carries the file/line of the first problem.
-    Costs round-trip exactly. *)
+(** Parse a file written by {!save_jsonl}.  Checks the schema header,
+    every line, and the emitters' step contract (no negative step, no
+    step below its predecessor's); [Error msg] carries the file/line of
+    the first problem.  Costs round-trip exactly. *)

@@ -1,10 +1,10 @@
 (* Online streaming analytics over the packet-journey event stream.
 
    Tumbling windows are keyed by simulation step — never wall-clock — so
-   every snapshot is a pure function of (event sequence, window size,
-   top_k): bit-identical across --jobs, and bit-identical between an
-   online run (attached to the engine's Event.log) and an offline replay
-   of the recorded log.  The packet bookkeeping mirrors
+   every snapshot is a pure function of (event sequence, window size):
+   bit-identical across --jobs, and bit-identical between an online run
+   (attached to the engine's Event.log) and an offline replay of the
+   recorded log.  The packet bookkeeping mirrors
    Routing.Journey's FIFO identity queues, the quantile gauges come from
    Sketch, the heavy hitters from Topk, and health from the Invariants
    fold; none of them retains per-event state beyond O(buckets + k). *)
@@ -67,7 +67,6 @@ type pkt = { injected_at : int; mutable hops : int }
 
 type t = {
   window_size : int;
-  top_k : int;
   latency : Sketch.t;
   hops : Sketch.t;
   occupancy : Sketch.t;
@@ -101,21 +100,20 @@ type t = {
   mutable final : cumulative option;
 }
 
+let top_k = 8
+
 let pow2_buckets upto = Array.init upto (fun i -> Float.of_int (1 lsl i))
 
-let default_latency_buckets = pow2_buckets 15  (* 1 .. 16384 steps *)
+let latency_buckets = pow2_buckets 15  (* 1 .. 16384 steps *)
 
-let default_hops_buckets = Array.init 32 (fun i -> float_of_int (i + 1))
+let hops_buckets = Array.init 32 (fun i -> float_of_int (i + 1))
 
-let default_occupancy_buckets = pow2_buckets 17  (* 1 .. 65536 packets *)
+let occupancy_buckets = pow2_buckets 17  (* 1 .. 65536 packets *)
 
-let create ?(top_k = 8) ?(latency_buckets = default_latency_buckets)
-    ?(hops_buckets = default_hops_buckets) ?(occupancy_buckets = default_occupancy_buckets)
-    ~window () =
+let create ~window () =
   if window < 1 then invalid_arg "Live.create: window must be >= 1 step";
   {
     window_size = window;
-    top_k;
     latency = Sketch.create ~buckets:latency_buckets ();
     hops = Sketch.create ~buckets:hops_buckets ();
     occupancy = Sketch.create ~buckets:occupancy_buckets ();
@@ -148,8 +146,6 @@ let create ?(top_k = 8) ?(latency_buckets = default_latency_buckets)
   }
 
 let window_size t = t.window_size
-
-let top_k t = t.top_k
 
 let queue_of t v d =
   match Hashtbl.find_opt t.queues (v, d) with
@@ -365,7 +361,7 @@ let write_final oc (c : cumulative) =
 
 let write_jsonl t oc =
   let c = finish t in
-  Printf.fprintf oc "{\"schema\":%S,\"window\":%d,\"top_k\":%d}\n" schema t.window_size t.top_k;
+  Printf.fprintf oc "{\"schema\":%S,\"window\":%d,\"top_k\":%d}\n" schema t.window_size top_k;
   List.iter (write_window oc) (windows t);
   write_final oc c
 

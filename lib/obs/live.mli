@@ -6,7 +6,7 @@
     {e simulation step}, never wall-clock.  Every derived figure
     (counters, {!Sketch} quantile estimates, {!Topk} heavy hitters,
     {!Invariants} health) is a pure function of the event sequence and
-    the [(window, top_k)] configuration, so the emitted snapshot stream
+    the window size, so the emitted snapshot stream
     is bit-identical across [--jobs] and between an online run and an
     offline replay of the very same log.
 
@@ -78,19 +78,12 @@ type cumulative = {
 
 type t
 
-val create :
-  ?top_k:int ->
-  ?latency_buckets:float array ->
-  ?hops_buckets:float array ->
-  ?occupancy_buckets:float array ->
-  window:int ->
-  unit ->
-  t
+val create : window:int -> unit -> t
 (** [create ~window ()] builds a recorder with tumbling windows of
     [window] simulation steps (raises [Invalid_argument] if [< 1]) and
-    [top_k] (default 8) heavy-hitter slots.  The default sketch buckets
-    are powers of two up to 16384 steps (latency), unit-width up to 32
-    (hops), and powers of two up to 65536 packets (occupancy). *)
+    {!top_k} heavy-hitter slots.  The sketch buckets are powers of two up
+    to 16384 steps (latency), unit-width up to 32 (hops), and powers of
+    two up to 65536 packets (occupancy). *)
 
 val feed : t -> Event.t -> unit
 (** Fold one event.  Raises [Invalid_argument] on a step below the
@@ -116,7 +109,8 @@ val windows : t -> window list
 
 val window_size : t -> int
 
-val top_k : t -> int
+val top_k : int
+(** Heavy-hitter slots per table: 8. *)
 
 val health : t -> Invariants.t
 (** The online invariant fold (for {!Invariants.report}). *)

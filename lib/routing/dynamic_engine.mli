@@ -45,10 +45,10 @@ val run :
     [Invalid_argument] naming [Dynamic_engine.run] and the id.
 
     [obs] behaves as in {!Engine.run_mac_given}: [engine/decide] /
-    [engine/apply] spans, [engine.*] counters, the max-height histogram
-    and stride-gated trace samples; an attached event log additionally
-    gets one [Epoch_change] per epoch (at the global step it starts),
-    and the usual inject / send / deliver events.  [None] leaves the run
+    [engine/apply] spans, [engine.*] counters and the max-height
+    histogram; an attached event log additionally gets one
+    [Epoch_change] per epoch (at the global step it starts), and the
+    usual inject / send / deliver events.  [None] leaves the run
     bit-identical.
 
     [pool] fans each step's colour-class decision computations out on the

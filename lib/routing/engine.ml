@@ -335,17 +335,6 @@ type counters = {
   mutable peak_height : int;
 }
 
-let fresh_counters () =
-  {
-    injected = 0;
-    dropped = 0;
-    delivered = 0;
-    sends = 0;
-    failed_sends = 0;
-    total_cost = 0.;
-    peak_height = 0;
-  }
-
 type on_send = step:int -> edge:int -> Balancing.decision -> [ `Delivered | `Moved ] -> unit
 type on_inject = step:int -> src:int -> dst:int -> bool -> unit
 type on_step = step:int -> delivered:int -> buffered:int -> unit
@@ -363,7 +352,6 @@ type k = {
   obs : Adhoc_obs.sink option;
   events : Event.log option;
   height_hist : Adhoc_obs.Metrics.histogram option;
-  prev : counters;  (* as of the previous trace sample *)
   on_step : on_step option;
   on_send : on_send option;
   on_inject : on_inject option;
@@ -522,39 +510,13 @@ let advertise k a ~step =
 
 let height_buckets = [| 1.; 2.; 4.; 8.; 16.; 32.; 64.; 128.; 256. |]
 
-(* End of step: the max-height histogram, a stride-gated trace sample
-   carrying the counter deltas since the previous one (so no event is
-   lost between recorded steps), and [on_step]. *)
-let sample k ~step ~active_edges =
-  let c = k.c in
+(* End of step: the max-height histogram and [on_step]. *)
+let sample k ~step =
   (match k.height_hist with
   | None -> ()
   | Some h -> Adhoc_obs.Metrics.observe h (float_of_int (Buffers.max_height k.buffers)));
-  (match k.obs with
-  | Some { Adhoc_obs.trace = Some tr; _ } when Adhoc_obs.Trace.wants tr ~step ->
-      let buffered = Buffers.total k.buffers in
-      let prev = k.prev in
-      Adhoc_obs.Trace.record tr
-        {
-          Adhoc_obs.Trace.step;
-          buffered;
-          max_height = Buffers.max_height k.buffers;
-          mean_height = float_of_int buffered /. float_of_int k.n;
-          injected = c.injected - prev.injected;
-          delivered = c.delivered - prev.delivered;
-          dropped = c.dropped - prev.dropped;
-          sends = c.sends - prev.sends;
-          failed_sends = c.failed_sends - prev.failed_sends;
-          active_edges;
-        };
-      prev.injected <- c.injected;
-      prev.delivered <- c.delivered;
-      prev.dropped <- c.dropped;
-      prev.sends <- c.sends;
-      prev.failed_sends <- c.failed_sends
-  | _ -> ());
   match k.on_step with
-  | Some f -> f ~step ~delivered:c.delivered ~buffered:(Buffers.total k.buffers)
+  | Some f -> f ~step ~delivered:k.c.delivered ~buffered:(Buffers.total k.buffers)
   | None -> ()
 
 (* Copies a base activation list into the active-edge array; returns the
@@ -635,7 +597,7 @@ let run_phase k ?pool ?cost_at ~injections ~first (ph : phase) =
       apply_all k ~step:t edge_cost decisions;
       inject_all k ~step:t (injections t);
       span_leave k;
-      sample k ~step:t ~active_edges:count
+      sample k ~step:t
     done
   in
   match ph.activation with
@@ -703,7 +665,7 @@ let run_phase k ?pool ?cost_at ~injections ~first (ph : phase) =
           List.iter (fun (r : Mac.request) -> granted_mark.(r.Mac.edge) <- false) granted;
         inject_all k ~step:t (injections t);
         span_leave k;
-        sample k ~step:t ~active_edges:(List.length granted)
+        sample k ~step:t
       done
 
 let run ?obs ?pool ?on_step ?on_send ?on_inject ?cost_at ~who ~params ~heights ~absorb
@@ -745,11 +707,19 @@ let run ?obs ?pool ?on_step ?on_send ?on_inject ?cost_at ~who ~params ~heights ~
       adverts;
       absorb;
       members;
-      c = fresh_counters ();
+      c =
+        {
+          injected = 0;
+          dropped = 0;
+          delivered = 0;
+          sends = 0;
+          failed_sends = 0;
+          total_cost = 0.;
+          peak_height = 0;
+        };
       obs;
       events = Adhoc_obs.events obs;
       height_hist;
-      prev = fresh_counters ();
       on_step;
       on_send;
       on_inject;

@@ -179,19 +179,19 @@ val run_mac_given :
     [pool] fans the per-step decision computations out on the domain pool
     (decide-parallel / apply-sequential): decisions are functions of
     start-of-step heights only, and applications replay in the sequential
-    order, so stats, events, traces and live telemetry are bit-identical
-    for every pool size.  [cost_at] is read sequentially, once per active
+    order, so stats, events and live telemetry are bit-identical for
+    every pool size.  [cost_at] is read sequentially, once per active
     edge and step, before the fan-out.
 
     [obs] turns on observability: phase spans ([engine/decide],
-    [engine/apply]), end-of-run counters and gauges ([engine.*]), a
-    per-step max-height histogram, and — when the sink carries a
-    {!Adhoc_obs.Trace.t} — one trace sample per stride step.  When the
-    sink carries an {!Adhoc_obs.Event.log}, every packet-level action is
-    recorded into it ([Inject] per attempt, [Send] + [Deliver] per
-    successful transmission, [Collide] per collided attempt) — the
-    flight-recorder stream behind [adhoc_sim analyze] and
-    {!Adhoc_obs.Invariants}.  With [None] (the default) every
+    [engine/apply]), end-of-run counters and gauges ([engine.*]) and a
+    per-step max-height histogram.  When the sink carries an
+    {!Adhoc_obs.Event.log}, every packet-level action is recorded into it
+    ([Inject] per attempt, [Send] + [Deliver] per successful
+    transmission, [Collide] per collided attempt) — the flight-recorder
+    stream behind [adhoc_sim analyze], {!Adhoc_obs.Invariants} and the
+    per-step series of an {!Adhoc_obs.Live} recorder attached to the
+    log.  With [None] (the default) every
     instrumentation site reduces to a single [match], keeping the hot
     path allocation-free and the stats bit-identical.
 

@@ -41,7 +41,7 @@ val run_mac_given :
 
     [obs] behaves as in {!Engine.run_mac_given} — spans (with an extra
     [engine/advertise] scope around the advertisement phase), [engine.*]
-    counters, histogram and trace — plus a [quantized.control_messages]
+    counters and histogram — plus a [quantized.control_messages]
     counter, and one [Height_advert] event per announcing node when the
     sink carries an event log.  [None] leaves the run bit-identical.
 

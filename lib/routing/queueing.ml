@@ -31,7 +31,7 @@ type packet = {
   seq : int;  (** tie-breaker: injection sequence number *)
 }
 
-let run ?(cooldown = 0) ?(use_activations = false) ~graph ~cost discipline (w : Workload.t) =
+let run ?(cooldown = 0) ~graph ~cost discipline (w : Workload.t) =
   let horizon = w.Workload.horizon in
   let steps = horizon + cooldown in
   let edge_cost = Array.init (Graph.num_edges graph) (fun e -> cost (Graph.length graph e)) in
@@ -70,17 +70,14 @@ let run ?(cooldown = 0) ?(use_activations = false) ~graph ~cost discipline (w : 
     | Longest_in_system -> (p.injected_at, p.seq)
   in
   for t = 0 to steps - 1 do
-    let usable e =
-      (not use_activations) || (t < horizon && List.mem e w.Workload.activations.(t))
-    in
-    (* Collect this step's winners: per (node, edge) queue with a usable
-       edge, the discipline's minimum.  At most one packet per direction.
+    (* Collect this step's winners: per (node, edge) queue, the
+       discipline's minimum.  At most one packet per direction.
        Queues are visited in ascending (node, edge) order so the float cost
        accumulation below never depends on Hashtbl traversal order. *)
     let winners = ref [] in
     Adhoc_util.Det.iter_sorted
       (fun (_node, e) q ->
-        if usable e && !q <> [] then begin
+        if !q <> [] then begin
           max_queue := max !max_queue (List.length !q);
           let best =
             List.fold_left

@@ -27,15 +27,11 @@ type stats = {
 
 val run :
   ?cooldown:int ->
-  ?use_activations:bool ->
   graph:Adhoc_graph.Graph.t ->
   cost:Adhoc_graph.Cost.t ->
   discipline ->
   Workload.t ->
   stats
-(** Packets follow their certified paths; per step each usable edge moves
-    at most one packet per direction, chosen by the discipline.
-    [use_activations] (default [false]) restricts each step's usable edges
-    to the workload's activation set — the Scenario-1 regime; otherwise
-    every edge is usable every step, the classical adversarial-queueing
-    assumption. *)
+(** Packets follow their certified paths; per step every edge moves at
+    most one packet per direction, chosen by the discipline — every edge
+    is usable every step, the classical adversarial-queueing assumption. *)

@@ -37,7 +37,7 @@ let data_box all =
         ~xmax:(xmax +. pad (xmax -. xmin))
         ~ymax:(ymax +. pad (ymax -. ymin))
 
-let render ?(width = 720) ?height:_ ?title ?x_label ?y_label all =
+let render ?(width = 720) ?title ?x_label ?y_label all =
   let box = data_box all in
   let svg = Svg.create ~margin:(0.12 *. Box.diagonal box) ~width ~world:box () in
   let w = Box.width box and h = Box.height box in
@@ -86,5 +86,5 @@ let render ?(width = 720) ?height:_ ?title ?x_label ?y_label all =
   | None -> ());
   svg
 
-let save ?width ?height ?title ?x_label ?y_label all path =
-  Svg.save (render ?width ?height ?title ?x_label ?y_label all) path
+let save ?width ?title ?x_label ?y_label all path =
+  Svg.save (render ?width ?title ?x_label ?y_label all) path

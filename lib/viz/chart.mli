@@ -12,7 +12,6 @@ val series : ?color:string -> label:string -> (float * float) array -> series
 
 val render :
   ?width:int ->
-  ?height:int ->
   ?title:string ->
   ?x_label:string ->
   ?y_label:string ->
@@ -24,7 +23,6 @@ val render :
 
 val save :
   ?width:int ->
-  ?height:int ->
   ?title:string ->
   ?x_label:string ->
   ?y_label:string ->

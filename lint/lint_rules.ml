@@ -85,8 +85,8 @@ let domain_exempt_path path =
 
 (* The observability layer is allowed to read Gc.* (see raw-gc) and to
    write output channels (see obs-purity): its Gcstat module is the
-   sanctioned GC window, and its writers (Event, Trace, Live,
-   Chrome_trace) the sanctioned file-serialisation path. *)
+   sanctioned GC window, and its writers (Event, Live, Chrome_trace) the
+   sanctioned file-serialisation path. *)
 let obs_layer_path path =
   let norm = String.concat "/" (String.split_on_char '\\' path) in
   let infix = "lib/obs/" in
@@ -173,7 +173,7 @@ let printf_like =
   [ [ "Printf"; "printf" ]; [ "Printf"; "eprintf" ]; [ "Format"; "printf" ]; [ "Format"; "eprintf" ] ]
 
 (* Output-channel writes: allowed only under lib/obs/ (ctx.obs_exempt),
-   where Event / Trace / Live / Chrome_trace own all file serialisation.
+   where Event / Live / Chrome_trace own all file serialisation.
    [close_out] stays legal everywhere — closing a channel someone handed
    you is not producing output. *)
 let channel_idents =

@@ -278,7 +278,8 @@ let online_stream jobs =
       let b = Pipeline.prepare ~pool ~theta:(Float.pi /. 6.) ~range points in
       let events = Event.create () in
       let live = Live.create ~window:100 () in
-      let obs = Obs.create ~events ~live () in
+      Live.attach live events;
+      let obs = Obs.create ~events () in
       ignore
         (Pipeline.run_scenario1 ~obs ~horizon:400 ~attempts:300 ~flows:2
            ~rng:(Prng.create 7) b);

@@ -1,11 +1,10 @@
-(* Observability layer: metrics registry, span profiler, trace recorder,
+(* Observability layer: metrics registry, span profiler, event log,
    and the engine-level guarantee that an attached sink never changes the
    simulation (bit-identical stats, pinned below). *)
 
 module Obs = Adhoc_obs
 module Metrics = Adhoc_obs.Metrics
 module Span = Adhoc_obs.Span
-module Trace = Adhoc_obs.Trace
 module Graph = Adhoc_graph.Graph
 module Cost = Adhoc_graph.Cost
 module Pipeline = Adhoc.Pipeline
@@ -126,98 +125,6 @@ let test_span_reset () =
   Alcotest.(check int) "empty after reset" 0 (List.length (Span.totals s))
 
 (* ------------------------------------------------------------------ *)
-(* Trace                                                               *)
-
-let sample step =
-  {
-    Trace.step;
-    buffered = step;
-    max_height = 1;
-    mean_height = 0.5;
-    injected = 0;
-    delivered = 0;
-    dropped = 0;
-    sends = 0;
-    failed_sends = 0;
-    active_edges = 0;
-  }
-
-let test_trace_stride () =
-  let tr = Trace.create ~stride:3 () in
-  let recorded = ref [] in
-  for step = 0 to 10 do
-    if Trace.wants tr ~step then begin
-      Trace.record tr (sample step);
-      recorded := step :: !recorded
-    end
-  done;
-  Alcotest.(check (list int)) "steps on stride" [ 0; 3; 6; 9 ] (List.rev !recorded);
-  Alcotest.(check int) "length" 4 (Trace.length tr);
-  Alcotest.(check (list int)) "samples in order" [ 0; 3; 6; 9 ]
-    (Array.to_list (Array.map (fun s -> s.Trace.step) (Trace.samples tr)))
-
-let test_trace_growth () =
-  let tr = Trace.create ~initial_capacity:2 () in
-  for step = 0 to 99 do
-    Trace.record tr (sample step)
-  done;
-  Alcotest.(check int) "grows past capacity" 100 (Trace.length tr);
-  let ss = Trace.samples tr in
-  Alcotest.(check int) "first" 0 ss.(0).Trace.step;
-  Alcotest.(check int) "last" 99 ss.(99).Trace.step
-
-let test_trace_jsonl_lines () =
-  let tr = Trace.create () in
-  for step = 0 to 4 do
-    Trace.record tr (sample step)
-  done;
-  let file = Filename.temp_file "trace" ".jsonl" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      Trace.save_jsonl tr file;
-      let ic = open_in file in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      Alcotest.(check int) "one line per sample" 5 (List.length lines);
-      List.iteri
-        (fun i line ->
-          let want = Printf.sprintf "{\"step\":%d," i in
-          Alcotest.(check bool)
-            (Printf.sprintf "line %d starts with its step" i)
-            true
-            (String.length line > String.length want
-            && String.sub line 0 (String.length want) = want
-            && line.[String.length line - 1] = '}'))
-        lines)
-
-let test_trace_csv_shape () =
-  let tr = Trace.create () in
-  Trace.record tr (sample 0);
-  Trace.record tr (sample 1);
-  let file = Filename.temp_file "trace" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove file)
-    (fun () ->
-      Trace.save_csv tr file;
-      let ic = open_in file in
-      let header = input_line ic in
-      let row0 = input_line ic in
-      let _row1 = input_line ic in
-      let eof = try ignore (input_line ic); false with End_of_file -> true in
-      close_in ic;
-      Alcotest.(check bool) "eof after rows" true eof;
-      let cols s = List.length (String.split_on_char ',' s) in
-      Alcotest.(check int) "header arity matches rows" (cols header) (cols row0);
-      Alcotest.(check string) "step column first" "step"
-        (List.hd (String.split_on_char ',' header)))
-
-(* ------------------------------------------------------------------ *)
 (* Engine golden: a sink never changes the simulation                  *)
 
 (* Fixed instance + workloads; the stats below were captured from the
@@ -321,13 +228,21 @@ let test_golden_disabled () =
   check_stats "plain" golden_plain (run_plain ());
   check_stats "csma" golden_csma (run_csma ())
 
+(* A sink carrying an event log with a live recorder folding it: the
+   per-step series is the recorder's windows. *)
+let live_sink ~window =
+  let events = Obs.Event.create () in
+  let live = Obs.Live.create ~window () in
+  Obs.Live.attach live events;
+  (Obs.create ~events (), live)
+
 let test_golden_enabled () =
-  (* A full sink — metrics, spans and a stride-1 trace — must not perturb
-     the run: same golden numbers, one trace sample per step. *)
-  let obs = Obs.create ~trace:(Trace.create ()) () in
+  (* A full sink — metrics, spans, an event log and a window-1 live
+     recorder — must not perturb the run: same golden numbers, and one
+     window per step from the first event (step 1) to the last (696). *)
+  let obs, live = live_sink ~window:1 in
   check_stats "pad+obs" golden_pad (run_pad ~obs ());
-  Alcotest.(check int) "one sample per step" 800
-    (Trace.length (Option.get obs.Obs.trace));
+  Alcotest.(check int) "one window per step" 696 (Obs.Live.finish live).Obs.Live.windows;
   let labels = List.map (fun t -> t.Span.label) (Span.totals obs.Obs.spans) in
   Alcotest.(check bool) "decide span" true (List.mem "engine/decide" labels);
   Alcotest.(check bool) "apply span" true (List.mem "engine/apply" labels);
@@ -336,28 +251,35 @@ let test_golden_enabled () =
   | _ -> Alcotest.fail "engine.delivered counter missing")
 
 let test_golden_enabled_csma () =
-  let obs = Obs.create ~trace:(Trace.create ~stride:10 ()) () in
+  let obs, live = live_sink ~window:10 in
   check_stats "csma+obs" golden_csma (run_csma ~obs ());
-  Alcotest.(check int) "stride-10 sample count" 80
-    (Trace.length (Option.get obs.Obs.trace));
+  Alcotest.(check int) "window-10 count" 60 (Obs.Live.finish live).Obs.Live.windows;
   let labels = List.map (fun t -> t.Span.label) (Span.totals obs.Obs.spans) in
   Alcotest.(check bool) "mac span" true
     (List.exists (fun l -> String.length l >= 4 && String.sub l 0 4 = "mac/") labels)
 
-let test_trace_deltas_sum () =
-  (* Per-sample deltas must partition the run totals: summing the stride-1
-     trace reproduces the aggregate stats. *)
-  let obs = Obs.create ~trace:(Trace.create ()) () in
-  let stats = run_plain ~obs () in
-  let tr = Option.get obs.Obs.trace in
-  let sum f = Array.fold_left (fun a s -> a + f s) 0 (Trace.samples tr) in
-  Alcotest.(check int) "injected" stats.Engine.injected (sum (fun s -> s.Trace.injected));
-  Alcotest.(check int) "delivered" stats.Engine.delivered
-    (sum (fun s -> s.Trace.delivered));
-  Alcotest.(check int) "sends" stats.Engine.sends (sum (fun s -> s.Trace.sends));
-  Alcotest.(check int) "dropped" stats.Engine.dropped (sum (fun s -> s.Trace.dropped));
-  let peak = Array.fold_left (fun a s -> max a s.Trace.max_height) 0 (Trace.samples tr) in
-  Alcotest.(check int) "peak via trace" stats.Engine.peak_height peak
+let test_live_partitions_stats () =
+  (* Window-1 records must partition the run totals, on a given
+     activation and on a MAC-arbitrated one: summing the windows
+     reproduces the aggregate stats, and the last window's gauge is what
+     the run leaves buffered. *)
+  List.iter
+    (fun (name, run) ->
+      let obs, live = live_sink ~window:1 in
+      let stats = run obs in
+      ignore (Obs.Live.finish live);
+      let ws = Obs.Live.windows live in
+      let sum f = List.fold_left (fun a w -> a + f w) 0 ws in
+      let check what expected got = Alcotest.(check int) (name ^ " " ^ what) expected got in
+      check "injected" stats.Engine.injected (sum (fun w -> w.Obs.Live.injected));
+      check "delivered" stats.Engine.delivered (sum (fun w -> w.Obs.Live.delivered));
+      check "dropped" stats.Engine.dropped (sum (fun w -> w.Obs.Live.dropped));
+      check "sends" stats.Engine.sends
+        (sum (fun w -> w.Obs.Live.sends + w.Obs.Live.collisions));
+      check "failed sends" stats.Engine.failed_sends (sum (fun w -> w.Obs.Live.collisions));
+      check "final buffered" stats.Engine.remaining
+        (match List.rev ws with w :: _ -> w.Obs.Live.buffered | [] -> 0))
+    [ ("plain", fun obs -> run_plain ~obs ()); ("csma", fun obs -> run_csma ~obs ()) ]
 
 let test_tracked_engine_obs_identical () =
   let b, params, _, wq = Lazy.force fixture in
@@ -516,9 +438,71 @@ let test_event_jsonl_rejects () =
           Alcotest.(check bool) "error names the line" true (contains msg ":2")
       | Ok _ -> Alcotest.fail "truncated send accepted");
       write file [ "{\"schema\":\"adhoc-events/1\"}"; "not json" ];
-      match Event.load_jsonl file with
+      (match Event.load_jsonl file with
       | Error _ -> ()
-      | Ok _ -> Alcotest.fail "garbage line accepted")
+      | Ok _ -> Alcotest.fail "garbage line accepted");
+      (* The emitters' step contract, which step-keyed readers rely on. *)
+      let rejects what lines fragment =
+        write file ("{\"schema\":\"adhoc-events/1\"}" :: lines);
+        match Event.load_jsonl file with
+        | Error msg ->
+            Alcotest.(check bool) (Printf.sprintf "%s: %S in %S" what fragment msg) true
+              (contains msg fragment)
+        | Ok _ -> Alcotest.failf "%s accepted" what
+      in
+      rejects "decreasing step"
+        [ "{\"ev\":\"epoch\",\"step\":3,\"epoch\":0}"; "{\"ev\":\"epoch\",\"step\":1,\"epoch\":1}" ]
+        ":3: step 1 after step 3";
+      rejects "negative step" [ "{\"ev\":\"epoch\",\"step\":-1,\"epoch\":0}" ] ":2: negative step -1")
+
+(* Byte flips, digit changes and truncations of a recorded log: the loader
+   either rejects the file or hands every reader a log it can fold. *)
+let fuzz_base_log =
+  lazy
+    (let rng = Prng.create 3 in
+     let points = Adhoc_pointset.Generators.uniform rng 48 in
+     let range = 1.5 *. Adhoc_topo.Udg.critical_range points in
+     let b = Pipeline.prepare ~theta:(Float.pi /. 6.) ~range points in
+     let events = Event.create () in
+     ignore
+       (Pipeline.run_scenario1 ~obs:(Obs.create ~events ()) ~horizon:150 ~attempts:300
+          ~flows:2 ~rng b);
+     with_temp_file ".jsonl" (fun file ->
+         Event.save_jsonl events file;
+         In_channel.with_open_bin file In_channel.input_all))
+
+let test_event_log_fuzz =
+  qtest "mutated event logs never crash the readers" ~count:300 seed_gen (fun seed ->
+      let doc = Lazy.force fuzz_base_log in
+      let rng = Prng.create seed in
+      let mutated =
+        match Prng.int rng 3 with
+        | 0 -> String.sub doc 0 (Prng.int rng (String.length doc))
+        | 1 ->
+            let b = Bytes.of_string doc in
+            Bytes.set b (Prng.int rng (Bytes.length b)) (Char.chr (32 + Prng.int rng 90));
+            Bytes.to_string b
+        | _ ->
+            (* A digit for a digit: steps, nodes and edges stay numbers. *)
+            let b = Bytes.of_string doc in
+            let rec pick () =
+              let i = Prng.int rng (Bytes.length b) in
+              match Bytes.get b i with '0' .. '9' -> i | _ -> pick ()
+            in
+            Bytes.set b (pick ()) (Char.chr (48 + Prng.int rng 10));
+            Bytes.to_string b
+      in
+      with_temp_file ".jsonl" (fun file ->
+          Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc mutated);
+          match Event.load_jsonl file with
+          | Error _ -> true
+          | Ok events ->
+              ignore (Journey.analyze events);
+              ignore (Invariants.run events);
+              let live = Obs.Live.create ~window:10 () in
+              Obs.Live.feed_array live events;
+              ignore (Obs.Live.finish live);
+              true))
 
 (* ------------------------------------------------------------------ *)
 (* Invariants: seeded corrupt logs must be caught                      *)
@@ -881,7 +865,7 @@ let test_dynamic_obs_parity () =
   let log = Event.create () in
   let checker = Invariants.create ~endpoints:(Graph.endpoints g) () in
   Invariants.attach checker log;
-  let obs = Obs.create ~trace:(Trace.create ()) ~events:log () in
+  let obs = Obs.create ~events:log () in
   let with_obs = run ~obs () in
   check_stats "dynamic obs parity" plain with_obs;
   Invariants.final_check checker ~injected:with_obs.Engine.injected
@@ -892,8 +876,6 @@ let test_dynamic_obs_parity () =
   let events = Event.to_array log in
   Alcotest.(check int) "one Epoch_change per epoch" 2
     (count (function Event.Epoch_change _ -> true | _ -> false) events);
-  Alcotest.(check int) "trace samples every step" 400
-    (Trace.length (Option.get obs.Obs.trace));
   let labels = List.map (fun t -> t.Span.label) (Span.totals obs.Obs.spans) in
   Alcotest.(check bool) "decide span" true (List.mem "engine/decide" labels);
   match List.assoc_opt "engine.delivered" (Metrics.snapshot obs.Obs.metrics) with
@@ -1238,6 +1220,7 @@ let () =
           case "observer" test_event_observer;
           case "jsonl roundtrip is exact" test_event_jsonl_roundtrip;
           case "jsonl rejects bad input" test_event_jsonl_rejects;
+          test_event_log_fuzz;
         ] );
       ( "invariants",
         [
@@ -1273,19 +1256,12 @@ let () =
           case "dynamic engine obs parity" test_dynamic_obs_parity;
           case "quantized engine obs parity" test_quantized_obs_parity;
         ] );
-      ( "trace",
-        [
-          case "stride" test_trace_stride;
-          case "growth" test_trace_growth;
-          case "jsonl lines" test_trace_jsonl_lines;
-          case "csv shape" test_trace_csv_shape;
-        ] );
       ( "engine golden",
         [
           case "obs disabled pins seed stats" test_golden_disabled;
           case "obs enabled is bit-identical" test_golden_enabled;
           case "csma with obs + stride" test_golden_enabled_csma;
-          case "trace deltas sum to stats" test_trace_deltas_sum;
+          case "live windows sum to stats" test_live_partitions_stats;
           case "tracked engine unchanged" test_tracked_engine_obs_identical;
         ] );
       ( "domprof",

@@ -1268,7 +1268,8 @@ let jobs_sweep =
 let with_streams f =
   let events = Adhoc_obs.Event.create () in
   let live = Adhoc_obs.Live.create ~window:25 () in
-  let sink = Adhoc_obs.create ~events ~live () in
+  Adhoc_obs.Live.attach live events;
+  let sink = Adhoc_obs.create ~events () in
   let result = f sink in
   let tmp = Filename.temp_file "adhoc-par" ".jsonl" in
   Fun.protect
