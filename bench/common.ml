@@ -203,3 +203,79 @@ let live_json l =
       ("top_edges", tops c.Obs.Live.c_top_edges);
       ("top_nodes", tops c.Obs.Live.top_nodes);
     ]
+
+(* --- timing sweeps (B1, B2, B4) ------------------------------------- *)
+
+(* Wall-clock seconds of [f]: one warm-up run, then the faster of two
+   timed runs.  Every run builds its own state, so the runs are
+   independent. *)
+let time_s f =
+  ignore (f ());
+  let once () =
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    Unix.gettimeofday () -. t0
+  in
+  let first = once () in
+  Float.min first (once ())
+
+(* The sweeps' instance: [n] uniform points from seed 2024 and 1.5x the
+   connectivity radius.  Below 8192 nodes that radius is the exact
+   critical range (longest Euclidean-MST edge); from 8192 up the
+   Delaunay-based MST is too slow, so it is the analytic radius
+   sqrt(ln n / (pi n)) of uniform point sets — a pure function of n. *)
+let sweep_instance n =
+  let points = Pointset.Generators.uniform (Prng.create 2024) n in
+  let range =
+    if n < 8192 then 1.5 *. Topo.Udg.critical_range points
+    else
+      let nf = float_of_int n in
+      1.5 *. Float.sqrt (Float.log nf /. (Float.pi *. nf))
+  in
+  (points, range)
+
+(* One pool per jobs value, attached to the experiment's sink like the
+   shared bench pool, so the snapshot's pool.regions / pool.items count
+   the sweep's runs (a function of the fixed jobs grid, not of the
+   machine); detached and shut down afterwards. *)
+let with_pools jobs f =
+  let pools = List.map (fun j -> (j, Util.Pool.create ~jobs:j ())) jobs in
+  List.iter (fun (_, p) -> Option.iter (fun sink -> Obs.attach_pool sink p) (current_obs ())) pools;
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun (_, p) ->
+          Obs.detach_pool p;
+          Util.Pool.shutdown p)
+        pools)
+    (fun () -> f pools)
+
+(* Profiled pass: one more run of [run pool] on a fresh per-domain
+   recorder, recording its busy-time balance ("pool.imbalance:*") and
+   owner-domain GC delta ("gc:*") under [key metric].  Both are timing-
+   or runtime-derived, so --compare only warns on them; the metric names
+   are a pure function of the sweep. *)
+let profile ~key pool run =
+  Option.iter
+    (fun sink ->
+      let dp = Obs.Domprof.create ~slots:(Util.Pool.jobs pool) () in
+      Obs.attach_pool ~domprof:dp sink pool;
+      let g0 = Obs.Gcstat.read () in
+      ignore (run pool);
+      let g = Obs.Gcstat.delta ~before:g0 ~after:(Obs.Gcstat.read ()) in
+      (* Back to the sink's own recorder (if any) for later runs. *)
+      Obs.attach_pool sink pool;
+      let busy f = Option.fold ~none:0. ~some:f (Obs.Domprof.summary dp) in
+      List.iter
+        (fun (metric, v) -> record_float (key metric) v)
+        [
+          ("pool.imbalance:ratio", busy (fun s -> s.Obs.Domprof.imbalance));
+          ("pool.imbalance:busy_min_s", busy (fun s -> s.Obs.Domprof.busy_min));
+          ("pool.imbalance:busy_max_s", busy (fun s -> s.Obs.Domprof.busy_max));
+          ("pool.imbalance:busy_mean_s", busy (fun s -> s.Obs.Domprof.busy_mean));
+          ("gc:minor_words", g.Obs.Gcstat.minor_words);
+          ("gc:promoted_words", g.Obs.Gcstat.promoted_words);
+          ("gc:minor_collections", float_of_int g.Obs.Gcstat.minor_collections);
+          ("gc:major_collections", float_of_int g.Obs.Gcstat.major_collections);
+        ])
+    (current_obs ())

@@ -7,15 +7,13 @@
    value (the qcheck suite pins this), so the sweep also records one
    structural metric per instance (edge counts) that --compare checks
    exactly: any drift across machines or pool sizes is a regression,
-   while the "ns_per_run:*" timings only warn.  A separate profiled pass
-   per configuration records per-domain busy-time balance
-   ("pool.imbalance:*") and owner-domain GC deltas ("gc:*"); both are
-   machine-dependent and compared with the same tolerance as timings.
+   while the "ns_per_run:*" timings only warn.  Timer, pools, instance
+   and the profiled pass ("pool.imbalance:*", "gc:*") are Common's,
+   shared with B1 and B4.
 
    The jobs grid is a fixed {1, 2, 4, 8} — never the machine's
-   recommended domain count — and the per-jobs pools are attached to the
-   experiment's obs sink, so the pool.regions / pool.items counters in
-   the snapshot are a machine-independent function of the sweep and
+   recommended domain count — so the pool.regions / pool.items counters
+   in the snapshot are a machine-independent function of the sweep and
    --compare can pin them.
 
    Speedup expectations are hardware-honest: on a single-core container
@@ -24,119 +22,39 @@
 
 open Adhoc
 open Common
-module Prng = Util.Prng
 module Pool = Util.Pool
 
 let theta = Float.pi /. 6.
 
-(* Min-of-reps wall-clock, in nanoseconds; one warm-up run. *)
-let time_ns ?(reps = 2) f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best *. 1e9
-
 let jobs_grid = [ 1; 2; 4; 8 ]
 
-(* Construction sizes.  Up to 4096 the transmission radius comes from the
-   exact critical range (longest Euclidean-MST edge); beyond that the
-   Delaunay-based MST is quadratic, so the sweep switches to the analytic
-   connectivity radius sqrt(ln n / (pi n)) of uniform point sets — the
-   same 1.5x headroom, still a pure function of n. *)
+(* Construction sizes; from 8192 up the radius is analytic (see
+   Common.sweep_instance). *)
 let construction_sizes = [ 1024; 4096; 16384; 65536 ]
-
-let analytic_threshold = 8192
-
-let instance n =
-  let rng = Prng.create 2024 in
-  let points = Pointset.Generators.uniform rng n in
-  let range =
-    if n < analytic_threshold then 1.5 *. Topo.Udg.critical_range points
-    else
-      let nf = float_of_int n in
-      1.5 *. Float.sqrt (Float.log nf /. (Float.pi *. nf))
-  in
-  (points, range)
-
-let fmt_speedup base ns = Printf.sprintf "%.2fx" (base /. ns)
 
 let run () =
   header "B2: multicore scaling (pool-parallelized kernels, n x jobs)";
   Printf.printf "recommended domain count here: %d (grid is fixed 1/2/4/8)\n\n"
     (Pool.default_jobs ());
-  let pools = List.map (fun j -> (j, Pool.create ~jobs:j ())) jobs_grid in
-  (* The per-jobs pools report into the experiment sink like the shared
-     bench pool does: without this, B2's snapshot shows pool.regions = 0
-     even though every timed kernel ran on a pool. *)
-  List.iter (fun (_, p) -> Option.iter (fun sink -> Obs.attach_pool sink p) (current_obs ())) pools;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun (_, p) ->
-          Obs.detach_pool p;
-          Pool.shutdown p)
-        pools)
-    (fun () ->
+  with_pools jobs_grid (fun pools ->
       let t =
         Table.create
           ([ ("kernel", Table.Left); ("n", Table.Right) ]
           @ List.map (fun j -> (Printf.sprintf "jobs=%d" j, Table.Right)) jobs_grid)
       in
       let sweep name n f check =
-        let base = ref nan in
+        let secs = List.map (fun (j, p) -> (j, time_s (fun () -> f p))) pools in
+        let base = List.assoc 1 secs in
         let cells =
           List.map
-            (fun (j, p) ->
-              let ns = time_ns (fun () -> f p) in
-              record_float (Printf.sprintf "ns_per_run:%s/n=%d/jobs=%d" name n j) ns;
-              if j = 1 then begin
-                base := ns;
-                Printf.sprintf "%.0f ms" (ns /. 1e6)
-              end
-              else fmt_speedup !base ns)
-            pools
+            (fun (j, s) ->
+              record_float (Printf.sprintf "ns_per_run:%s/n=%d/jobs=%d" name n j) (s *. 1e9);
+              if j = 1 then Printf.sprintf "%.0f ms" (s *. 1e3)
+              else Printf.sprintf "%.2fx" (base /. s))
+            secs
         in
-        (* Profiled pass: one extra run per configuration on a fresh
-           per-domain recorder, yielding busy-time balance figures and an
-           owner-domain GC delta.  All of it is timing- or runtime-derived,
-           so --compare relaxes the "pool.imbalance:*" / "gc:*" prefixes;
-           the metric *names* recorded here are a pure function of the
-           sweep, keeping baseline metric sets machine-independent. *)
         List.iter
-          (fun (j, p) ->
-            match current_obs () with
-            | None -> ()
-            | Some sink ->
-                let dp = Obs.Domprof.create ~slots:(Pool.jobs p) () in
-                Obs.attach_pool ~domprof:dp sink p;
-                let g0 = Obs.Gcstat.read () in
-                ignore (f p);
-                let g = Obs.Gcstat.delta ~before:g0 ~after:(Obs.Gcstat.read ()) in
-                (* Back to the sink's own recorder (if any) for later runs. *)
-                Obs.attach_pool sink p;
-                let key metric = Printf.sprintf "%s:%s/n=%d/jobs=%d" metric name n j in
-                (match Obs.Domprof.summary dp with
-                | Some s ->
-                    record_float (key "pool.imbalance:ratio") s.Obs.Domprof.imbalance;
-                    record_float (key "pool.imbalance:busy_min_s") s.Obs.Domprof.busy_min;
-                    record_float (key "pool.imbalance:busy_max_s") s.Obs.Domprof.busy_max;
-                    record_float (key "pool.imbalance:busy_mean_s") s.Obs.Domprof.busy_mean
-                | None ->
-                    record_float (key "pool.imbalance:ratio") 0.;
-                    record_float (key "pool.imbalance:busy_min_s") 0.;
-                    record_float (key "pool.imbalance:busy_max_s") 0.;
-                    record_float (key "pool.imbalance:busy_mean_s") 0.);
-                record_float (key "gc:minor_words") g.Obs.Gcstat.minor_words;
-                record_float (key "gc:promoted_words") g.Obs.Gcstat.promoted_words;
-                record_float (key "gc:minor_collections")
-                  (float_of_int g.Obs.Gcstat.minor_collections);
-                record_float (key "gc:major_collections")
-                  (float_of_int g.Obs.Gcstat.major_collections))
+          (fun (j, p) -> profile ~key:(fun m -> Printf.sprintf "%s:%s/n=%d/jobs=%d" m name n j) p f)
           pools;
         Table.add_row t ((name :: string_of_int n :: cells) : string list);
         (* One structural metric per instance, identical for every jobs
@@ -146,7 +64,7 @@ let run () =
       in
       List.iter
         (fun n ->
-          let points, range = instance n in
+          let points, range = sweep_instance n in
           sweep "theta-alg" n
             (fun p -> Topo.Theta_alg.build ~pool:p ~theta ~range points)
             (Graphs.Graph.num_edges (Topo.Theta_alg.overlay (Topo.Theta_alg.build ~theta ~range points)));
@@ -156,7 +74,7 @@ let run () =
         construction_sizes;
       List.iter
         (fun n ->
-          let points, range = instance n in
+          let points, range = sweep_instance n in
           let gstar = Topo.Udg.build ~range points in
           let sub = Topo.Theta_alg.overlay (Topo.Theta_alg.build ~theta ~range points) in
           let cost = Graphs.Cost.energy ~kappa:2. in

@@ -18,9 +18,8 @@
    identical to the jobs = 1 reference.  A mismatch aborts the bench —
    bit-identity is a contract here, not a statistic.
 
-   A separate profiled pass per configuration records per-domain
-   busy-time balance ("pool.imbalance:*") and owner-domain GC deltas
-   ("gc:*"), exactly like B2.
+   Timer, pools, instance and the profiled pass ("pool.imbalance:*",
+   "gc:*") are Common's, shared with B1 and B2.
 
    Speedup expectations are hardware-honest: the decision phase is a
    fraction of each step (apply stays sequential by design), so on a
@@ -28,19 +27,12 @@
 
 open Adhoc
 open Common
-module Prng = Util.Prng
 module Pool = Util.Pool
 module Conflict = Interference.Conflict
 module Balancing = Routing.Balancing
 module Dynamic = Routing.Dynamic_engine
 
 let theta = Float.pi /. 6.
-
-(* Same analytic-radius switch as B2: the exact critical range needs the
-   quadratic Delaunay MST, so beyond the threshold the radius comes from
-   the connectivity law of uniform point sets — still a pure function
-   of n. *)
-let analytic_threshold = 8192
 
 let sizes = [ 1024; 4096; 16384 ]
 let jobs_grid = [ 1; 2; 4 ]
@@ -49,19 +41,6 @@ let steps = 240
 let params = Balancing.params ~threshold:1.0 ~gamma:0.05 ~capacity:8
 let cost = Graphs.Cost.hops
 
-(* Min-of-reps wall-clock, in seconds; one warm-up run.  Each run builds
-   its own buffer state, so repetitions are independent. *)
-let time_s ?(reps = 2) f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to reps do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < !best then best := dt
-  done;
-  !best
-
 type instance = {
   epochs : Dynamic.epoch list;
   injections : int -> (int * int) list;
@@ -69,14 +48,7 @@ type instance = {
 }
 
 let instance n =
-  let rng = Prng.create 2024 in
-  let points = Pointset.Generators.uniform rng n in
-  let range =
-    if n < analytic_threshold then 1.5 *. Topo.Udg.critical_range points
-    else
-      let nf = float_of_int n in
-      1.5 *. Float.sqrt (Float.log nf /. (Float.pi *. nf))
-  in
+  let points, range = sweep_instance n in
   let overlay = Topo.Theta_alg.overlay (Topo.Theta_alg.build ~theta ~range points) in
   let conflict = Conflict.build (Interference.Model.make ~delta:0.5) ~points overlay in
   (* Seeded injections, pregenerated so every timed run replays the same
@@ -140,19 +112,7 @@ let run () =
   header "B4: routing-throughput scaling (parallel decision phase, n x jobs)";
   Printf.printf "recommended domain count here: %d (grid is fixed 1/2/4)\n\n"
     (Pool.default_jobs ());
-  let pools = List.map (fun j -> (j, Pool.create ~jobs:j ())) jobs_grid in
-  (* Like B2, the per-jobs pools report into the experiment sink so the
-     pool.regions / pool.items counters in the snapshot reflect the
-     timed step loops and json_check can require them to be nonzero. *)
-  List.iter (fun (_, p) -> Option.iter (fun sink -> Obs.attach_pool sink p) (current_obs ())) pools;
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter
-        (fun (_, p) ->
-          Obs.detach_pool p;
-          Pool.shutdown p)
-        pools)
-    (fun () ->
+  with_pools jobs_grid (fun pools ->
       let t =
         Table.create
           ([ ("n", Table.Right); ("decisions", Table.Right) ]
@@ -161,57 +121,25 @@ let run () =
       List.iter
         (fun n ->
           let inst = instance n in
-          let base = ref nan in
+          let route_on p = route ~pool:p inst in
+          let secs = List.map (fun (j, p) -> (j, time_s (fun () -> route_on p))) pools in
+          let base = List.assoc 1 secs in
           let cells =
             List.map
-              (fun (j, p) ->
-                let secs = time_s (fun () -> route ~pool:p inst) in
+              (fun (j, s) ->
                 record_float
                   (Printf.sprintf "steps_per_sec:b4/n=%d/jobs=%d" n j)
-                  (float_of_int steps /. secs);
+                  (float_of_int steps /. s);
                 record_float
                   (Printf.sprintf "decisions_per_sec:b4/n=%d/jobs=%d" n j)
-                  (float_of_int inst.decisions /. secs);
-                if j = 1 then begin
-                  base := secs;
-                  Printf.sprintf "%.0f steps/s" (float_of_int steps /. secs)
-                end
-                else Printf.sprintf "%.2fx" (!base /. secs))
-              pools
+                  (float_of_int inst.decisions /. s);
+                if j = 1 then Printf.sprintf "%.0f steps/s" (float_of_int steps /. s)
+                else Printf.sprintf "%.2fx" (base /. s))
+              secs
           in
-          (* Profiled pass: busy-time balance of the decision fan-out and
-             an owner-domain GC delta per configuration (timing-derived,
-             so --compare relaxes these prefixes; the metric names stay a
-             pure function of the sweep). *)
           List.iter
             (fun (j, p) ->
-              match current_obs () with
-              | None -> ()
-              | Some sink ->
-                  let dp = Obs.Domprof.create ~slots:(Pool.jobs p) () in
-                  Obs.attach_pool ~domprof:dp sink p;
-                  let g0 = Obs.Gcstat.read () in
-                  ignore (route ~pool:p inst);
-                  let g = Obs.Gcstat.delta ~before:g0 ~after:(Obs.Gcstat.read ()) in
-                  Obs.attach_pool sink p;
-                  let key metric = Printf.sprintf "%s:b4/n=%d/jobs=%d" metric n j in
-                  (match Obs.Domprof.summary dp with
-                  | Some s ->
-                      record_float (key "pool.imbalance:ratio") s.Obs.Domprof.imbalance;
-                      record_float (key "pool.imbalance:busy_min_s") s.Obs.Domprof.busy_min;
-                      record_float (key "pool.imbalance:busy_max_s") s.Obs.Domprof.busy_max;
-                      record_float (key "pool.imbalance:busy_mean_s") s.Obs.Domprof.busy_mean
-                  | None ->
-                      record_float (key "pool.imbalance:ratio") 0.;
-                      record_float (key "pool.imbalance:busy_min_s") 0.;
-                      record_float (key "pool.imbalance:busy_max_s") 0.;
-                      record_float (key "pool.imbalance:busy_mean_s") 0.);
-                  record_float (key "gc:minor_words") g.Obs.Gcstat.minor_words;
-                  record_float (key "gc:promoted_words") g.Obs.Gcstat.promoted_words;
-                  record_float (key "gc:minor_collections")
-                    (float_of_int g.Obs.Gcstat.minor_collections);
-                  record_float (key "gc:major_collections")
-                    (float_of_int g.Obs.Gcstat.major_collections))
+              profile ~key:(fun m -> Printf.sprintf "%s:b4/n=%d/jobs=%d" m n j) p route_on)
             pools;
           (* Bit-identity contract: stats, event bytes and live bytes must
              match the jobs = 1 reference for every pool size. *)

@@ -37,7 +37,7 @@
                               validates a Chrome trace-event export: a
                               {"traceEvents": [...]} document of well-formed
                               "M" / "X" events
-     json_check --compare BASELINE CURRENT [--span-tolerance R]
+     json_check --compare BASELINE CURRENT
                               diffs two adhoc-bench/6 documents: stats must
                               match exactly (whatever --jobs either run
                               used), including the "live" summaries;
@@ -453,11 +453,14 @@ let rec render = function
   | Arr vs -> "[" ^ String.concat ", " (List.map render vs) ^ "]"
   | Obj fs -> "{" ^ String.concat ", " (List.map (fun (k, v) -> k ^ ": " ^ render v) fs) ^ "}"
 
-let within_tolerance tol a b =
-  let scale = Float.max (Float.abs a) (Float.abs b) in
-  Float.equal scale 0. || Float.abs (a -. b) <= tol *. scale
+(* Relative difference beyond which a timing draws a warning. *)
+let tolerance = 0.25
 
-let compare_docs ~tolerance base_file cur_file =
+let within_tolerance a b =
+  let scale = Float.max (Float.abs a) (Float.abs b) in
+  Float.equal scale 0. || Float.abs (a -. b) <= tolerance *. scale
+
+let compare_docs base_file cur_file =
   let base = load_doc base_file and cur = load_doc cur_file in
   let drift = ref 0 and warnings = ref 0 in
   let error id fmt =
@@ -475,7 +478,7 @@ let compare_docs ~tolerance base_file cur_file =
       fmt
   in
   let timing id name b c =
-    if not (within_tolerance tolerance b c) then
+    if not (within_tolerance b c) then
       warn id "%s: %.4g -> %.4g (beyond %.0f%% tolerance)" name b c (100. *. tolerance)
   in
   let obj_fields = function Obj f -> f | _ -> [] in
@@ -906,18 +909,12 @@ let () =
   | [| _; "--live"; f |] -> check_live f
   | [| _; "--lint"; f |] -> check_lint_report f
   | [| _; "--chrome-trace"; f |] -> check_chrome_trace f
-  | [| _; "--compare"; base; cur |] -> compare_docs ~tolerance:0.25 base cur
-  | [| _; "--compare"; base; cur; "--span-tolerance"; r |] -> (
-      match float_of_string_opt r with
-      | Some tol when tol >= 0. -> compare_docs ~tolerance:tol base cur
-      | _ ->
-          prerr_endline "json_check: --span-tolerance expects a non-negative float";
-          exit 2)
+  | [| _; "--compare"; base; cur |] -> compare_docs base cur
   | _ ->
       prerr_endline
         "usage: json_check FILE\n\
         \       json_check --live FILE\n\
         \       json_check --lint FILE\n\
         \       json_check --chrome-trace FILE\n\
-        \       json_check --compare BASELINE CURRENT [--span-tolerance R]";
+        \       json_check --compare BASELINE CURRENT";
       exit 2

@@ -1,29 +1,20 @@
-(* B1: Bechamel micro-benchmarks of the core construction and simulation
-   primitives, one Test.make per operation. *)
+(* B1: micro-benchmarks of the core construction and simulation
+   primitives, one thunk per operation, each timed by Common.time_s. *)
 
 open Adhoc
-open Bechamel
-open Toolkit
 module Prng = Util.Prng
 
-let n = 256
+let theta = Common.theta_default
 
-let fixture =
-  lazy
-    (let rng = Prng.create 2024 in
-     let points = Pointset.Generators.uniform rng n in
-     let range = 1.5 *. Topo.Udg.critical_range points in
-     let b = Pipeline.prepare ~theta:(Float.pi /. 6.) ~range points in
-     (points, range, b))
+let fixture n =
+  let points, range = Common.sweep_instance n in
+  (points, range, Pipeline.prepare ~theta ~range points)
 
 (* Routing hot-path benchmarks run at n = 512 on prebuilt workloads, so the
    measured cost is the engine itself, not instance construction. *)
 let routing_fixture =
   lazy
-    (let rng = Prng.create 2024 in
-     let points = Pointset.Generators.uniform rng 512 in
-     let range = 1.5 *. Topo.Udg.critical_range points in
-     let b = Pipeline.prepare ~theta:(Float.pi /. 6.) ~range points in
+    (let _, _, b = fixture 512 in
      let config =
        { Routing.Workload.horizon = 2000; attempts = 1000; slack = 12; interference_free = false }
      in
@@ -41,75 +32,47 @@ let routing_fixture =
 
 let routing_params = Routing.Balancing.params ~threshold:1. ~gamma:0.1 ~capacity:100
 
-let tests () =
-  let points, range, b = Lazy.force fixture in
-  let theta = Float.pi /. 6. in
+let ops () =
+  let points, range, b = fixture 256 in
   let overlay = b.Pipeline.overlay in
-  let gstar = b.Pipeline.gstar in
-  Test.make_grouped ~name:"micro"
-    [
-      Test.make ~name:"udg-build" (Staged.stage (fun () -> Topo.Udg.build ~range points));
-      Test.make ~name:"yao-build" (Staged.stage (fun () -> Topo.Yao.graph ~theta ~range points));
-      Test.make ~name:"theta-alg-build"
-        (Staged.stage (fun () -> Topo.Theta_alg.build ~theta ~range points));
-      Test.make ~name:"gabriel-build" (Staged.stage (fun () -> Topo.Gabriel.build ~range points));
-      Test.make ~name:"delaunay-build"
-        (Staged.stage (fun () -> Topo.Delaunay.build ~range points));
-      Test.make ~name:"mst-build" (Staged.stage (fun () -> Graphs.Mst.of_points points));
-      Test.make ~name:"conflict-build"
-        (Staged.stage (fun () ->
-             Interference.Conflict.build (Interference.Model.make ~delta:0.5) ~points overlay));
-      Test.make ~name:"dijkstra-sssp"
-        (Staged.stage (fun () -> Graphs.Dijkstra.run overlay ~cost:Graphs.Cost.length ~src:0));
-      Test.make ~name:"energy-stretch"
-        (Staged.stage (fun () ->
-             Graphs.Stretch.over_base_edges ~sub:overlay ~base:gstar
-               ~cost:(Graphs.Cost.energy ~kappa:2.) ()));
-      Test.make ~name:"engine-1000-steps"
-        (Staged.stage (fun () ->
-             let rng = Prng.create 5 in
-             let config =
-               { Routing.Workload.horizon = 1000; attempts = 500; slack = 12; interference_free = false }
-             in
-             let w =
-               Routing.Workload.flows config ~rng ~graph:overlay ~cost:Graphs.Cost.length
-                 ~num_flows:2
-             in
-             let params =
-               Routing.Balancing.params ~threshold:1. ~gamma:0.1 ~capacity:100
-             in
-             Routing.Engine.run_mac_given ~graph:overlay ~cost:Graphs.Cost.length ~params w));
-      Test.make ~name:"routing-csma-2500-steps-n512"
-        (Staged.stage (fun () ->
-             let b, w, _ = Lazy.force routing_fixture in
-             let mac = Mac_protocols.Mac.csma ~rng:(Prng.create 7) b.Pipeline.conflict in
-             Routing.Engine.run_with_mac ~cooldown:500 ~collisions:b.Pipeline.conflict
-               ~graph:b.Pipeline.overlay ~cost:Graphs.Cost.length ~params:routing_params
-               ~mac w));
-      Test.make ~name:"routing-pad-2500-steps-n512"
-        (Staged.stage (fun () ->
-             let b, _, wq = Lazy.force routing_fixture in
-             Routing.Engine.run_mac_given ~cooldown:500 ~pad:b.Pipeline.conflict
-               ~graph:b.Pipeline.overlay ~cost:Graphs.Cost.length ~params:routing_params
-               wq));
-    ]
+  let op name f = ("micro/" ^ name, fun () -> ignore (f ())) in
+  [
+    op "udg-build" (fun () -> Topo.Udg.build ~range points);
+    op "yao-build" (fun () -> Topo.Yao.graph ~theta ~range points);
+    op "theta-alg-build" (fun () -> Topo.Theta_alg.build ~theta ~range points);
+    op "gabriel-build" (fun () -> Topo.Gabriel.build ~range points);
+    op "delaunay-build" (fun () -> Topo.Delaunay.build ~range points);
+    op "mst-build" (fun () -> Graphs.Mst.of_points points);
+    op "conflict-build" (fun () ->
+        Interference.Conflict.build (Interference.Model.make ~delta:0.5) ~points overlay);
+    op "dijkstra-sssp" (fun () -> Graphs.Dijkstra.run overlay ~cost:Graphs.Cost.length ~src:0);
+    op "energy-stretch" (fun () ->
+        Graphs.Stretch.over_base_edges ~sub:overlay ~base:b.Pipeline.gstar
+          ~cost:(Graphs.Cost.energy ~kappa:2.) ());
+    op "engine-1000-steps" (fun () ->
+        let config =
+          { Routing.Workload.horizon = 1000; attempts = 500; slack = 12; interference_free = false }
+        in
+        let w =
+          Routing.Workload.flows config ~rng:(Prng.create 5) ~graph:overlay
+            ~cost:Graphs.Cost.length ~num_flows:2
+        in
+        Routing.Engine.run_mac_given ~graph:overlay ~cost:Graphs.Cost.length ~params:routing_params
+          w);
+    op "routing-csma-2500-steps-n512" (fun () ->
+        let b, w, _ = Lazy.force routing_fixture in
+        let mac = Mac_protocols.Mac.csma ~rng:(Prng.create 7) b.Pipeline.conflict in
+        Routing.Engine.run_with_mac ~cooldown:500 ~collisions:b.Pipeline.conflict
+          ~graph:b.Pipeline.overlay ~cost:Graphs.Cost.length ~params:routing_params ~mac w);
+    op "routing-pad-2500-steps-n512" (fun () ->
+        let b, _, wq = Lazy.force routing_fixture in
+        Routing.Engine.run_mac_given ~cooldown:500 ~pad:b.Pipeline.conflict
+          ~graph:b.Pipeline.overlay ~cost:Graphs.Cost.length ~params:routing_params wq);
+  ]
 
 let run () =
-  Common.header "B1: micro-benchmarks (Bechamel, monotonic clock)";
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:100 ~quota:(Time.second 0.5) ~stabilize:false () in
-  let raw = Benchmark.all cfg instances (tests ()) in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = ref [] in
-  Hashtbl.iter
-    (fun name ols ->
-      match Analyze.OLS.estimates ols with
-      | Some [ ns ] -> rows := (name, ns) :: !rows
-      | _ -> ())
-    results;
+  Common.header "B1: micro-benchmarks (warm-up, then min of 2 timed runs)";
+  let rows = List.map (fun (name, f) -> (name, 1e9 *. Common.time_s f)) (ops ()) in
   let t =
     Util.Table.create
       [ ("operation (n = 256 unless noted)", Util.Table.Left); ("time per run", Util.Table.Right) ]
@@ -124,5 +87,5 @@ let run () =
     (fun (name, ns) ->
       Common.record_float ("ns_per_run:" ^ name) ns;
       Util.Table.add_row t [ name; fmt_time ns ])
-    (List.sort (fun (_, a) (_, b) -> Float.compare a b) !rows);
+    (List.sort (fun (_, a) (_, b) -> Float.compare a b) rows);
   Util.Table.print t

@@ -455,6 +455,49 @@ let test_event_jsonl_rejects () =
         ":3: step 1 after step 3";
       rejects "negative step" [ "{\"ev\":\"epoch\",\"step\":-1,\"epoch\":0}" ] ":2: negative step -1")
 
+(* Other JSON writers space their separators (Python's json.dumps writes
+   ", " and ": "): the reader takes any JSON whitespace between tokens. *)
+let test_event_jsonl_whitespace () =
+  let log = Event.create () in
+  List.iter (Event.record log) sample_events;
+  with_temp_file ".jsonl" (fun file ->
+      Event.save_jsonl log file;
+      let spaced =
+        In_channel.with_open_bin file In_channel.input_all
+        |> String.to_seq
+        |> Seq.concat_map (function
+             | (',' | ':') as c -> List.to_seq [ c; ' ' ]
+             | c -> Seq.return c)
+        |> String.of_seq
+      in
+      Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc spaced);
+      Alcotest.(check bool) "separators spaced" true (contains spaced "{\"schema\": \"adhoc");
+      match Event.load_jsonl file with
+      | Error msg -> Alcotest.failf "spaced log rejected: %s" msg
+      | Ok events ->
+          Alcotest.(check int) "count" (List.length sample_events) (Array.length events);
+          List.iteri
+            (fun i ev -> if events.(i) <> ev then Alcotest.failf "event %d changed" i)
+            sample_events)
+
+let test_event_jsonl_one_object () =
+  let rejects what lines fragment =
+    with_temp_file ".jsonl" (fun file ->
+        Out_channel.with_open_bin file (fun oc ->
+            List.iter
+              (fun l -> Out_channel.output_string oc (l ^ "\n"))
+              ("{\"schema\":\"adhoc-events/1\"}" :: lines));
+        match Event.load_jsonl file with
+        | Error msg ->
+            Alcotest.(check bool) (Printf.sprintf "%s: %S in %S" what fragment msg) true
+              (contains msg fragment)
+        | Ok _ -> Alcotest.failf "%s accepted" what)
+  in
+  rejects "unclosed object" [ "{\"ev\":\"epoch\",\"step\":3,\"epoch\":0" ] ":2: ";
+  rejects "text after the object"
+    [ "{\"ev\":\"epoch\",\"step\":3,\"epoch\":0}"; "{\"ev\":\"epoch\",\"step\":4,\"epoch\":1} x" ]
+    ":3: "
+
 (* Byte flips, digit changes and truncations of a recorded log: the loader
    either rejects the file or hands every reader a log it can fold. *)
 let fuzz_base_log =
@@ -1220,6 +1263,8 @@ let () =
           case "observer" test_event_observer;
           case "jsonl roundtrip is exact" test_event_jsonl_roundtrip;
           case "jsonl rejects bad input" test_event_jsonl_rejects;
+          case "jsonl allows whitespace between tokens" test_event_jsonl_whitespace;
+          case "jsonl line must be one object" test_event_jsonl_one_object;
           test_event_log_fuzz;
         ] );
       ( "invariants",

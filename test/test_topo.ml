@@ -266,6 +266,37 @@ let test_delaunay_connected =
       let points = points_of_seed ~min_n:3 ~max_n:30 seed in
       Components.is_connected (Delaunay.build points))
 
+(* A triangulation of n points in general position, h of them on the
+   hull, has 2n - h - 2 triangles; fewer means part of the hull is left
+   uncovered. *)
+let test_delaunay_covers_hull =
+  qtest "Delaunay triangulates the whole hull" ~count:40 seed_gen (fun seed ->
+      let points = points_of_seed ~min_n:3 ~max_n:30 seed in
+      let n = Array.length points and h = List.length (Adhoc_geom.Hull.convex points) in
+      List.length (Delaunay.triangles points) = (2 * n) - h - 2)
+
+(* Three nearly collinear points ([points_of_seed ~min_n:3 ~max_n:30]
+   seeds 7789 and 9083): circumradius 223 and 150, so the circumcircle
+   reaches far beyond the unit square, yet the one triangle must exist. *)
+let test_delaunay_thin_triangle points () =
+  Alcotest.(check (list (triple int int int))) "one triangle" [ (0, 1, 2) ]
+    (Delaunay.triangles points);
+  Alcotest.(check int) "three edges" 3 (Graph.num_edges (Delaunay.build points))
+
+let thin_7789 =
+  [|
+    Point.make 0x1.fdb41c5695c04p-2 0x1.3b0f224ea982p-3;
+    Point.make 0x1.7268ea6fc047ep-1 0x1.cd263639ea94p-5;
+    Point.make 0x1.cf410643551bep-2 0x1.63483f3b2a72p-3;
+  |]
+
+let thin_9083 =
+  [|
+    Point.make 0x1.da93124afc78p-7 0x1.99a63d6fb08c4p-2;
+    Point.make 0x1.aa89f6e02468dp-1 0x1.bef6ddc362644p-2;
+    Point.make 0x1.93ac2534b86e4p-2 0x1.aa62ffd547a08p-2;
+  |]
+
 let test_gabriel_range_restriction () =
   let points = [| Point.origin; Point.make 1. 0.; Point.make 5. 0. |] in
   let g = Gabriel.build ~range:2. points in
@@ -563,6 +594,9 @@ let () =
           test_rng_lune_property;
           test_delaunay_empty_circumcircles;
           test_delaunay_connected;
+          test_delaunay_covers_hull;
+          case "Delaunay thin triangle (seed 7789)" (test_delaunay_thin_triangle thin_7789);
+          case "Delaunay thin triangle (seed 9083)" (test_delaunay_thin_triangle thin_9083);
           case "gabriel range" test_gabriel_range_restriction;
         ] );
       ("metrics", [ case "fields" test_metrics_fields ]);
