@@ -221,9 +221,10 @@ let time_s f =
 
 (* The sweeps' instance: [n] uniform points from seed 2024 and 1.5x the
    connectivity radius.  Below 8192 nodes that radius is the exact
-   critical range (longest Euclidean-MST edge); from 8192 up the
-   Delaunay-based MST is too slow, so it is the analytic radius
-   sqrt(ln n / (pi n)) of uniform point sets — a pure function of n. *)
+   critical range (longest Euclidean-MST edge); from 8192 up it is the
+   analytic radius sqrt(ln n / (pi n)) of uniform point sets — a pure
+   function of n — because BENCH_BASELINE.json's B2 and B4 pins were
+   recorded with it.  Switching to the exact range re-records them. *)
 let sweep_instance n =
   let points = Pointset.Generators.uniform (Prng.create 2024) n in
   let range =

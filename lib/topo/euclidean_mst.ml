@@ -1,20 +1,18 @@
+open Adhoc_geom
 module Graph = Adhoc_graph.Graph
 
 let build points =
   let n = Array.length points in
-  if n < 3 then Adhoc_graph.Mst.of_points points
-  else begin
-    let pairs =
-      List.concat_map
-        (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ])
-        (Delaunay.triangles points)
-    in
-    (* Duplicate points never appear in the triangulation: fall back to the
-       exact construction when the candidate set cannot span. *)
-    let mst = Adhoc_graph.Mst.of_candidate_edges points pairs in
-    if Graph.num_edges mst = n - 1 then mst else Adhoc_graph.Mst.of_points points
-  end
+  (* Each point's successor in lexicographic order: the chain joins every
+     repeated point, which the triangulation drops, to its twin at length
+     0, and it is the MST of a collinear set, which has no triangle. *)
+  let order = Array.init n Fun.id in
+  Array.stable_sort (fun i j -> Point.compare points.(i) points.(j)) order;
+  let chain = List.init (Int.max 0 (n - 1)) (fun k -> (order.(k), order.(k + 1))) in
+  let delaunay =
+    List.concat_map (fun (a, b, c) -> [ (a, b); (b, c); (a, c) ]) (Delaunay.triangles points)
+  in
+  Adhoc_graph.Mst.of_candidate_edges points (delaunay @ chain)
 
 let longest_edge points =
-  if Array.length points < 2 then 0.
-  else Graph.fold_edges (build points) ~init:0. ~f:(fun acc _ e -> Float.max acc e.Graph.len)
+  Graph.fold_edges (build points) ~init:0. ~f:(fun acc _ e -> Float.max acc e.Graph.len)

@@ -4,7 +4,11 @@
     Delaunay triangulation, so restricting Kruskal to the O(n) Delaunay
     edges gives the exact MST without materialising the O(n²) complete
     graph — what lets the large-n experiments (and
-    {!Udg.critical_range}) scale. *)
+    {!Udg.critical_range}) scale.  The candidates also join each point to
+    its successor in {!Adhoc_geom.Point.compare} order: that chain links
+    repeated points, which the triangulation drops, at length 0, and it
+    is the MST of a collinear set, which has no triangle.  So every input
+    takes the same path, with O(n) candidates and no all-pairs step. *)
 
 val build : Adhoc_geom.Point.t array -> Adhoc_graph.Graph.t
 
