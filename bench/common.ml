@@ -70,80 +70,16 @@ let header title =
 
 (* --- machine-readable output -------------------------------------- *)
 
-(* Hand-rolled JSON: the toolchain ships no JSON library and the bench
-   schema is tiny.  nan/inf have no JSON encoding and serialize as null. *)
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | String of string
-    | List of t list
-    | Obj of (string * t) list
-
-  let escape s =
-    let buf = Buffer.create (String.length s + 2) in
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.contents buf
-
-  let rec write buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float f ->
-        if Float.is_finite f then Buffer.add_string buf (Printf.sprintf "%.12g" f)
-        else Buffer.add_string buf "null"
-    | String s ->
-        Buffer.add_char buf '"';
-        Buffer.add_string buf (escape s);
-        Buffer.add_char buf '"'
-    | List xs ->
-        Buffer.add_char buf '[';
-        List.iteri
-          (fun i x ->
-            if i > 0 then Buffer.add_char buf ',';
-            write buf x)
-          xs;
-        Buffer.add_char buf ']'
-    | Obj kvs ->
-        Buffer.add_char buf '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buf ',';
-            write buf (String k);
-            Buffer.add_char buf ':';
-            write buf v)
-          kvs;
-        Buffer.add_char buf '}'
-
-  let to_string t =
-    let buf = Buffer.create 1024 in
-    write buf t;
-    Buffer.contents buf
-end
-
 (* Headline-metric accumulator.  Experiments call [record_*] while they run;
    the harness snapshots and clears the list around each experiment and, when
    --json FILE was given, writes every experiment's metrics at the end. *)
-let metrics : (string * Json.t) list ref = ref []
+let metrics : (string * Util.Json.t) list ref = ref []
 
 let record name v = metrics := (name, v) :: !metrics
 
-let record_float name v = record name (Json.Float v)
+let record_float name v = record name (Util.Json.float v)
 
-let record_int name v = record name (Json.Int v)
+let record_int name v = record name (Util.Json.int v)
 
 let take_metrics () =
   let m = List.rev !metrics in
@@ -155,13 +91,13 @@ let take_metrics () =
    the harness snapshots and clears the slot around each experiment and
    embeds it as the outcome's "live" member (null when the experiment ran
    no recorder). *)
-let live_summary : Json.t ref = ref Json.Null
+let live_summary : Util.Json.t ref = ref Util.Json.Null
 
 let record_live j = live_summary := j
 
 let take_live () =
   let l = !live_summary in
-  live_summary := Json.Null;
+  live_summary := Util.Json.Null;
   l
 
 (* The cumulative live record as bench JSON.  Every field is a pure
@@ -169,37 +105,35 @@ let take_live () =
    member exactly across --jobs. *)
 let live_json l =
   let c = Obs.Live.finish l in
-  let f v = if Float.is_finite v then Json.Float v else Json.Null in
-  let tops xs =
-    Json.List (List.map (fun (k, n, e) -> Json.List [ Json.Int k; Json.Int n; Json.Int e ]) xs)
-  in
-  Json.Obj
+  let open Util.Json in
+  let tops xs = Arr (List.map (fun (k, n, e) -> Arr [ int k; int n; int e ]) xs) in
+  Obj
     [
-      ("window", Json.Int (Obs.Live.window_size l));
-      ("top_k", Json.Int Obs.Live.top_k);
-      ("steps", Json.Int c.Obs.Live.steps);
-      ("events", Json.Int c.Obs.Live.events);
-      ("windows", Json.Int c.Obs.Live.windows);
-      ("injected", Json.Int c.Obs.Live.c_injected);
-      ("dropped", Json.Int c.Obs.Live.c_dropped);
-      ("delivered", Json.Int c.Obs.Live.c_delivered);
-      ("self", Json.Int c.Obs.Live.c_self_deliveries);
-      ("sends", Json.Int c.Obs.Live.c_sends);
-      ("collisions", Json.Int c.Obs.Live.c_collisions);
-      ("control", Json.Int c.Obs.Live.c_control);
-      ("buffered", Json.Int c.Obs.Live.c_buffered);
-      ("violations", Json.Int c.Obs.Live.c_violations);
-      ("healthy", Json.Bool c.Obs.Live.healthy);
-      ("anomalies", Json.Int c.Obs.Live.anomalies);
-      ("energy", f c.Obs.Live.energy);
-      ("latency_mean", f c.Obs.Live.latency_mean);
-      ("latency_p50", f c.Obs.Live.c_latency_p50);
-      ("latency_p95", f c.Obs.Live.c_latency_p95);
-      ("hops_p50", f c.Obs.Live.c_hops_p50);
-      ("hops_p95", f c.Obs.Live.c_hops_p95);
-      ("occupancy_p50", f c.Obs.Live.c_occupancy_p50);
-      ("occupancy_p95", f c.Obs.Live.c_occupancy_p95);
-      ("occupancy_max", f c.Obs.Live.occupancy_max);
+      ("window", int (Obs.Live.window_size l));
+      ("top_k", int Obs.Live.top_k);
+      ("steps", int c.Obs.Live.steps);
+      ("events", int c.Obs.Live.events);
+      ("windows", int c.Obs.Live.windows);
+      ("injected", int c.Obs.Live.c_injected);
+      ("dropped", int c.Obs.Live.c_dropped);
+      ("delivered", int c.Obs.Live.c_delivered);
+      ("self", int c.Obs.Live.c_self_deliveries);
+      ("sends", int c.Obs.Live.c_sends);
+      ("collisions", int c.Obs.Live.c_collisions);
+      ("control", int c.Obs.Live.c_control);
+      ("buffered", int c.Obs.Live.c_buffered);
+      ("violations", int c.Obs.Live.c_violations);
+      ("healthy", Bool c.Obs.Live.healthy);
+      ("anomalies", int c.Obs.Live.anomalies);
+      ("energy", float c.Obs.Live.energy);
+      ("latency_mean", float c.Obs.Live.latency_mean);
+      ("latency_p50", float c.Obs.Live.c_latency_p50);
+      ("latency_p95", float c.Obs.Live.c_latency_p95);
+      ("hops_p50", float c.Obs.Live.c_hops_p50);
+      ("hops_p95", float c.Obs.Live.c_hops_p95);
+      ("occupancy_p50", float c.Obs.Live.c_occupancy_p50);
+      ("occupancy_p95", float c.Obs.Live.c_occupancy_p95);
+      ("occupancy_max", float c.Obs.Live.occupancy_max);
       ("top_edges", tops c.Obs.Live.c_top_edges);
       ("top_nodes", tops c.Obs.Live.top_nodes);
     ]

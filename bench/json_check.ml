@@ -1,8 +1,10 @@
 (* Well-formedness check for the bench harness's --json output and the
    other JSON documents the tools write.
 
-   The toolchain ships no JSON library, so this is a small recursive-descent
-   parser covering the full JSON grammar.  Beyond syntax it checks the
+   It carries no parser of its own: every document is read by the
+   library's strict JSON reader (Adhoc.Util.Json, which the event-log
+   loader uses too: RFC 8259 numbers and escapes, no repeated member
+   name, nothing after the value).  Beyond syntax it checks the
    adhoc-bench/6 shape: a top-level object whose "schema" is
    "adhoc-bench/6", whose "jobs" member is the numeric domain-pool size
    the run used, and whose "experiments" member is a non-empty array of
@@ -46,173 +48,23 @@
                               "gc.*" / "steps_per_sec:*" /
                               "decisions_per_sec:*" members only warn *)
 
-exception Bad of string
+open Adhoc.Util.Json
 
-type v =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of v list
-  | Obj of (string * v) list
+(* Numbers keep their literal text; the checks read them as floats. *)
+let num = function Num s -> Some (float_of_string s) | _ -> None
 
-let parse s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let skip_ws () =
-    while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then incr pos
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal lit v =
-    let k = String.length lit in
-    if !pos + k <= n && String.sub s !pos k = lit then begin
-      pos := !pos + k;
-      v
-    end
-    else fail ("expected " ^ lit)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = s.[!pos] in
-      incr pos;
-      if c = '"' then Buffer.contents buf
-      else if c = '\\' then begin
-        if !pos >= n then fail "truncated escape";
-        let e = s.[!pos] in
-        incr pos;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | '/' -> Buffer.add_char buf '/'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            (match int_of_string_opt ("0x" ^ hex) with
-            (* Code points are validated, not decoded: only syntax matters. *)
-            | Some _ -> Buffer.add_char buf '?'
-            | None -> fail "bad \\u escape")
-        | _ -> fail "bad escape");
-        go ()
-      end
-      else if Char.code c < 0x20 then fail "unescaped control character"
-      else begin
-        Buffer.add_char buf c;
-        go ()
-      end
-    in
-    go ()
-  in
-  let parse_number () =
-    let start = !pos in
-    if peek () = Some '-' then incr pos;
-    let digits () =
-      let d0 = !pos in
-      while !pos < n && s.[!pos] >= '0' && s.[!pos] <= '9' do
-        incr pos
-      done;
-      if !pos = d0 then fail "expected digit"
-    in
-    digits ();
-    if peek () = Some '.' then begin
-      incr pos;
-      digits ()
-    end;
-    (match peek () with
-    | Some ('e' | 'E') ->
-        incr pos;
-        (match peek () with Some ('+' | '-') -> incr pos | _ -> ());
-        digits ()
-    | _ -> ());
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some '{' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some '}' then begin
-          incr pos;
-          Obj []
-        end
-        else
-          let rec members acc =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                members ((k, v) :: acc)
-            | Some '}' ->
-                incr pos;
-                Obj (List.rev ((k, v) :: acc))
-            | _ -> fail "expected ',' or '}'"
-          in
-          members []
-    | Some '[' ->
-        incr pos;
-        skip_ws ();
-        if peek () = Some ']' then begin
-          incr pos;
-          Arr []
-        end
-        else
-          let rec elements acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                incr pos;
-                elements (v :: acc)
-            | Some ']' ->
-                incr pos;
-                Arr (List.rev (v :: acc))
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements []
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some ('-' | '0' .. '9') -> parse_number ()
-    | Some c -> fail (Printf.sprintf "unexpected character %C" c)
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
+let number fields name = Option.bind (List.assoc_opt name fields) num
+
+let positive v = match num v with Some c -> c > 0. | None -> false
+
+let is_num x v = Option.equal Float.equal (num v) (Some x)
 
 let span_ok = function
   | Obj fields -> (
       match
-        ( List.assoc_opt "label" fields,
-          List.assoc_opt "count" fields,
-          List.assoc_opt "seconds" fields )
+        (List.assoc_opt "label" fields, number fields "count", number fields "seconds")
       with
-      | Some (Str _), Some (Num _), Some (Num _) -> true
+      | Some (Str _), Some _, Some _ -> true
       | _ -> false)
   | _ -> false
 
@@ -222,9 +74,7 @@ let span_ok = function
    arrays; null means the experiment ran no recorder. *)
 let live_member_ok fields =
   let int_ok name =
-    match List.assoc_opt name fields with
-    | Some (Num v) -> Float.is_integer v && v >= 0.
-    | _ -> false
+    match number fields name with Some v -> Float.is_integer v && v >= 0. | None -> false
   in
   List.for_all int_ok
     [
@@ -266,7 +116,7 @@ let pool_counters_ok fields =
       let counter name =
         match List.assoc_opt "obs" fields with
         | Some (Obj obs) -> (
-            match List.assoc_opt name obs with Some (Num c) when c > 0. -> true | _ -> false)
+            match List.assoc_opt name obs with Some v -> positive v | None -> false)
         | _ -> false
       in
       (* Same spirit for the profiled pass: all-zero imbalance / GC
@@ -276,8 +126,7 @@ let pool_counters_ok fields =
         match List.assoc_opt "metrics" fields with
         | Some (Obj ms) ->
             List.exists
-              (fun (name, v) ->
-                starts_with ~prefix name && match v with Num c -> c > 0. | _ -> false)
+              (fun (name, v) -> starts_with ~prefix name && positive v)
               ms
         | _ -> false
       in
@@ -302,8 +151,7 @@ let b4_throughput_ok fields =
       let metrics = match List.assoc_opt "metrics" fields with Some (Obj ms) -> ms | _ -> [] in
       let some_positive prefix =
         List.exists
-          (fun (name, v) ->
-            starts_with ~prefix name && match v with Num c -> c > 0. | _ -> false)
+          (fun (name, v) -> starts_with ~prefix name && positive v)
           metrics
       in
       let bitident = List.filter (fun (name, _) -> starts_with ~prefix:"bitident:" name) metrics in
@@ -314,7 +162,7 @@ let b4_throughput_ok fields =
       else
         match bitident with
         | [] -> Error "experiment b4 must record its bitident:* pins"
-        | pins when List.for_all (fun (_, v) -> v = Num 1.) pins -> Ok ()
+        | pins when List.for_all (fun (_, v) -> is_num 1. v) pins -> Ok ()
         | _ -> Error "experiment b4 recorded a bitident:* pin that is not 1")
   | _ -> Ok ()
 
@@ -340,11 +188,11 @@ let read_file file =
   s
 
 let check_document file =
-  match parse (read_file file) with
-  | exception Bad msg ->
+  match of_string (read_file file) with
+  | Error msg ->
       Printf.eprintf "%s: invalid JSON: %s\n" file msg;
       exit 1
-  | Obj fields -> (
+  | Ok (Obj fields) -> (
       (match List.assoc_opt "schema" fields with
       | Some (Str "adhoc-bench/6") -> ()
       | Some (Str other) ->
@@ -353,8 +201,8 @@ let check_document file =
       | _ ->
           Printf.eprintf "%s: missing \"schema\" member\n" file;
           exit 1);
-      (match List.assoc_opt "jobs" fields with
-      | Some (Num j) when Float.is_integer j && j >= 1. -> ()
+      (match Option.map num (List.assoc_opt "jobs" fields) with
+      | Some (Some j) when Float.is_integer j && j >= 1. -> ()
       | Some _ ->
           Printf.eprintf "%s: \"jobs\" must be a positive integer\n" file;
           exit 1
@@ -383,7 +231,7 @@ let check_document file =
       | _ ->
           Printf.eprintf "%s: missing or malformed \"experiments\" array\n" file;
           exit 1)
-  | _ ->
+  | Ok _ ->
       Printf.eprintf "%s: top-level value is not an object\n" file;
       exit 1
 
@@ -418,11 +266,11 @@ let is_timing_metric name =
 let is_runtime_obs_metric name = starts_with ~prefix:"gc." name
 
 let load_doc file =
-  match parse (read_file file) with
-  | exception Bad msg ->
+  match of_string (read_file file) with
+  | Error msg ->
       Printf.eprintf "%s: invalid JSON: %s\n" file msg;
       exit 1
-  | Obj fields -> (
+  | Ok (Obj fields) -> (
       (match List.assoc_opt "schema" fields with
       | Some (Str "adhoc-bench/6") -> ()
       | _ ->
@@ -441,17 +289,17 @@ let load_doc file =
       | _ ->
           Printf.eprintf "%s: missing \"experiments\" array\n" file;
           exit 1)
-  | _ ->
+  | Ok _ ->
       Printf.eprintf "%s: top-level value is not an object\n" file;
       exit 1
 
-let rec render = function
-  | Null -> "null"
-  | Bool b -> string_of_bool b
-  | Num f -> Printf.sprintf "%.12g" f
-  | Str s -> Printf.sprintf "%S" s
-  | Arr vs -> "[" ^ String.concat ", " (List.map render vs) ^ "]"
-  | Obj fs -> "{" ^ String.concat ", " (List.map (fun (k, v) -> k ^ ": " ^ render v) fs) ^ "}"
+(* Structural equality, numbers compared by value ("1.0" equals "1"). *)
+let rec same a b =
+  match (a, b) with
+  | Num x, Num y -> Float.equal (float_of_string x) (float_of_string y)
+  | Arr xs, Arr ys -> List.equal same xs ys
+  | Obj xs, Obj ys -> List.equal (fun (k, x) (l, y) -> String.equal k l && same x y) xs ys
+  | _ -> a = b
 
 (* Relative difference beyond which a timing draws a warning. *)
 let tolerance = 0.25
@@ -495,11 +343,11 @@ let compare_docs base_file cur_file =
               match List.assoc_opt name cm with
               | None -> error id "metric %s missing from current run" name
               | Some cv -> (
-                  match (bv, cv) with
-                  | Num b, Num c when is_timing_metric name -> timing id name b c
+                  match (num bv, num cv) with
+                  | Some b, Some c when is_timing_metric name -> timing id name b c
                   | _ ->
-                      if bv <> cv then
-                        error id "metric %s: %s -> %s" name (render bv) (render cv)))
+                      if not (same bv cv) then
+                        error id "metric %s: %s -> %s" name (to_string bv) (to_string cv)))
             bm;
           List.iter
             (fun (name, _) ->
@@ -515,18 +363,19 @@ let compare_docs base_file cur_file =
               match List.assoc_opt name co with
               | None -> error id "obs metric %s missing from current run" name
               | Some cv -> (
-                  match (bv, cv) with
-                  | Num b, Num c when is_runtime_obs_metric name ->
+                  match (num bv, num cv) with
+                  | Some b, Some c when is_runtime_obs_metric name ->
                       timing id ("obs " ^ name) b c
                   | _ ->
-                      if bv <> cv then
-                        error id "obs metric %s: %s -> %s" name (render bv) (render cv)))
+                      if not (same bv cv) then
+                        error id "obs metric %s: %s -> %s" name (to_string bv) (to_string cv)))
             bo;
           (* Live-telemetry summary: a pure function of the event stream
              (step-keyed, jobs-invariant), so it must match exactly. *)
           (match (List.assoc_opt "live" bf, List.assoc_opt "live" cf) with
           | Some bl, Some cl ->
-              if bl <> cl then error id "live summary: %s -> %s" (render bl) (render cl)
+              if not (same bl cl) then
+                error id "live summary: %s -> %s" (to_string bl) (to_string cl)
           | None, None -> ()
           | Some _, None -> error id "live member missing from current run"
           | None, Some _ -> error id "live member absent from baseline");
@@ -537,12 +386,8 @@ let compare_docs base_file cur_file =
                 List.filter_map
                   (fun s ->
                     let f = obj_fields s in
-                    match
-                      ( List.assoc_opt "label" f,
-                        List.assoc_opt "count" f,
-                        List.assoc_opt "seconds" f )
-                    with
-                    | Some (Str l), Some (Num n), Some (Num sec) -> Some (l, (n, sec))
+                    match (List.assoc_opt "label" f, number f "count", number f "seconds") with
+                    | Some (Str l), Some n, Some sec -> Some (l, (n, sec))
                     | _ -> None)
                   ss
             | _ -> []
@@ -557,8 +402,8 @@ let compare_docs base_file cur_file =
                     error id "span %s count: %g -> %g" label bn cn
                   else timing id ("span " ^ label) bsec csec)
             bs;
-          (match (List.assoc_opt "seconds" bf, List.assoc_opt "seconds" cf) with
-          | Some (Num b), Some (Num c) -> timing id "seconds" b c
+          (match (number bf "seconds", number cf "seconds") with
+          | Some b, Some c -> timing id "seconds" b c
           | _ -> ()))
     base;
   List.iter
@@ -604,18 +449,18 @@ let check_lint_report file =
       fmt
   in
   let fields =
-    match parse (read_file file) with
-    | exception Bad msg -> fail "invalid JSON: %s" msg
-    | Obj fields -> fields
-    | _ -> fail "top-level value is not an object"
+    match of_string (read_file file) with
+    | Error msg -> fail "invalid JSON: %s" msg
+    | Ok (Obj fields) -> fields
+    | Ok _ -> fail "top-level value is not an object"
   in
   (match List.assoc_opt "schema" fields with
   | Some (Str "adhoc-lint/2") -> ()
   | Some (Str other) -> fail "unknown schema %S (expected \"adhoc-lint/2\")" other
   | _ -> fail "missing \"schema\" member");
   let num name =
-    match List.assoc_opt name fields with
-    | Some (Num f) when Float.is_integer f && f >= 0. -> int_of_float f
+    match number fields name with
+    | Some f when Float.is_integer f && f >= 0. -> int_of_float f
     | _ -> fail "missing or malformed numeric %S" name
   in
   let files = num "files"
@@ -719,10 +564,10 @@ let check_chrome_trace file =
       fmt
   in
   let fields =
-    match parse (read_file file) with
-    | exception Bad msg -> fail "invalid JSON: %s" msg
-    | Obj fields -> fields
-    | _ -> fail "top-level value is not an object"
+    match of_string (read_file file) with
+    | Error msg -> fail "invalid JSON: %s" msg
+    | Ok (Obj fields) -> fields
+    | Ok _ -> fail "top-level value is not an object"
   in
   let events =
     match List.assoc_opt "traceEvents" fields with
@@ -741,9 +586,9 @@ let check_chrome_trace file =
           incr complete;
           if not name_ok then fail "complete event %d lacks a \"name\"" i;
           let num field =
-            match List.assoc_opt field f with
-            | Some (Num x) -> x
-            | _ -> fail "complete event %d lacks a numeric %S" i field
+            match number f field with
+            | Some x -> x
+            | None -> fail "complete event %d lacks a numeric %S" i field
           in
           ignore (num "pid");
           ignore (num "tid");
@@ -782,22 +627,22 @@ let check_live file =
   | [] -> fail None "empty live stream"
   | header :: records ->
       let hf =
-        match parse header with
-        | exception Bad msg -> fail (Some 1) "invalid JSON: %s" msg
-        | Obj f -> f
-        | _ -> fail (Some 1) "header line is not a JSON object"
+        match of_string header with
+        | Error msg -> fail (Some 1) "invalid JSON: %s" msg
+        | Ok (Obj f) -> f
+        | Ok _ -> fail (Some 1) "header line is not a JSON object"
       in
       (match List.assoc_opt "schema" hf with
       | Some (Str "adhoc-live/1") -> ()
       | Some (Str other) -> fail (Some 1) "unknown schema %S (expected \"adhoc-live/1\")" other
       | _ -> fail (Some 1) "missing \"schema\" member");
       let window =
-        match List.assoc_opt "window" hf with
-        | Some (Num w) when Float.is_integer w && w >= 1. -> int_of_float w
+        match number hf "window" with
+        | Some w when Float.is_integer w && w >= 1. -> int_of_float w
         | _ -> fail (Some 1) "header lacks a positive integer \"window\""
       in
-      (match List.assoc_opt "top_k" hf with
-      | Some (Num k) when Float.is_integer k && k >= 1. -> ()
+      (match number hf "top_k" with
+      | Some k when Float.is_integer k && k >= 1. -> ()
       | _ -> fail (Some 1) "header lacks a positive integer \"top_k\"");
       if records = [] then fail None "no records after the header";
       let nrec = List.length records in
@@ -811,8 +656,8 @@ let check_live file =
       let nwindows = ref 0 in
       let expect_w = ref None in
       let int_member lineno f name =
-        match List.assoc_opt name f with
-        | Some (Num v) when Float.is_integer v && v >= 0. -> int_of_float v
+        match number f name with
+        | Some v when Float.is_integer v && v >= 0. -> int_of_float v
         | _ -> fail (Some lineno) "missing or malformed non-negative integer %S" name
       in
       let quantile_member lineno f name =
@@ -824,10 +669,10 @@ let check_live file =
         (fun i line ->
           let lineno = i + 2 in
           let f =
-            match parse line with
-            | exception Bad msg -> fail (Some lineno) "invalid JSON: %s" msg
-            | Obj f -> f
-            | _ -> fail (Some lineno) "record is not a JSON object"
+            match of_string line with
+            | Error msg -> fail (Some lineno) "invalid JSON: %s" msg
+            | Ok (Obj f) -> f
+            | Ok _ -> fail (Some lineno) "record is not a JSON object"
           in
           match List.assoc_opt "final" f with
           | Some (Bool true) ->
@@ -877,10 +722,9 @@ let check_live file =
               | _ -> ());
               expect_w := Some (w + 1);
               (match List.assoc_opt "steps" f with
-              | Some (Arr [ Num lo; Num hi ])
-                when Float.is_integer lo && Float.is_integer hi
-                     && int_of_float lo = w * window
-                     && int_of_float hi = (w * window) + window - 1 ->
+              | Some (Arr [ lo; hi ])
+                when is_num (float_of_int (w * window)) lo
+                     && is_num (float_of_int ((w * window) + window - 1)) hi ->
                   ()
               | _ ->
                   fail (Some lineno) "window %d must cover steps [%d,%d]" w (w * window)

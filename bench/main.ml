@@ -26,6 +26,7 @@
    --chrome-trace-dir was given (see EXPERIMENTS.md for the schema). *)
 
 module Obs = Adhoc.Obs
+module Json = Adhoc.Util.Json
 
 let all : (string * string * (unit -> unit)) list =
   [
@@ -83,53 +84,53 @@ type outcome = {
   id : string;
   title : string;
   seconds : float;
-  metrics : (string * Common.Json.t) list;  (* the experiment's headline numbers *)
+  metrics : (string * Json.t) list;  (* the experiment's headline numbers *)
   spans : Obs.Span.total list;
   obs_snapshot : (string * Obs.Metrics.value) list;
-  live : Common.Json.t;  (* cumulative live-telemetry summary, or Null *)
+  live : Json.t;  (* cumulative live-telemetry summary, or Null *)
   chrome_file : string option;
 }
 
 let span_json (s : Obs.Span.total) =
-  let open Common.Json in
+  let open Json in
   Obj
     [
-      ("label", String s.Obs.Span.label);
-      ("count", Int s.Obs.Span.count);
-      ("seconds", Float s.Obs.Span.seconds);
-      ("self_seconds", Float s.Obs.Span.self_seconds);
-      ("gc_minor_words", Float s.Obs.Span.minor_words);
-      ("gc_promoted_words", Float s.Obs.Span.promoted_words);
-      ("gc_minor_collections", Int s.Obs.Span.minor_collections);
-      ("gc_major_collections", Int s.Obs.Span.major_collections);
+      ("label", Str s.Obs.Span.label);
+      ("count", int s.Obs.Span.count);
+      ("seconds", float s.Obs.Span.seconds);
+      ("self_seconds", float s.Obs.Span.self_seconds);
+      ("gc_minor_words", float s.Obs.Span.minor_words);
+      ("gc_promoted_words", float s.Obs.Span.promoted_words);
+      ("gc_minor_collections", int s.Obs.Span.minor_collections);
+      ("gc_major_collections", int s.Obs.Span.major_collections);
     ]
 
 let metric_value_json v =
-  let open Common.Json in
+  let open Json in
   match v with
-  | Obs.Metrics.Counter c -> Int c
-  | Obs.Metrics.Gauge g -> Float g
+  | Obs.Metrics.Counter c -> int c
+  | Obs.Metrics.Gauge g -> float g
   | Obs.Metrics.Histogram { buckets; counts; total; sum } ->
       Obj
         [
-          ("buckets", List (Array.to_list (Array.map (fun b -> Float b) buckets)));
-          ("counts", List (Array.to_list (Array.map (fun c -> Int c) counts)));
-          ("total", Int total);
-          ("sum", Float sum);
+          ("buckets", Arr (Array.to_list (Array.map float buckets)));
+          ("counts", Arr (Array.to_list (Array.map int counts)));
+          ("total", int total);
+          ("sum", float sum);
         ]
 
 let outcome_json o =
-  let open Common.Json in
+  let open Json in
   Obj
     [
-      ("id", String o.id);
-      ("title", String o.title);
-      ("seconds", Float o.seconds);
+      ("id", Str o.id);
+      ("title", Str o.title);
+      ("seconds", float o.seconds);
       ("metrics", Obj o.metrics);
-      ("spans", List (List.map span_json o.spans));
+      ("spans", Arr (List.map span_json o.spans));
       ("obs", Obj (List.map (fun (n, v) -> (n, metric_value_json v)) o.obs_snapshot));
       ("live", o.live);
-      ("chrome_trace", match o.chrome_file with None -> Null | Some f -> String f);
+      ("chrome_trace", match o.chrome_file with None -> Null | Some f -> Str f);
     ]
 
 let () =
@@ -229,13 +230,13 @@ let () =
   (match json_out with
   | None -> ()
   | Some (file, oc) ->
-      let open Common.Json in
+      let open Json in
       let doc =
         Obj
           [
-            ("schema", String "adhoc-bench/6");
-            ("jobs", Int (Adhoc.Util.Pool.jobs pool));
-            ("experiments", List (List.rev_map outcome_json !results));
+            ("schema", Str "adhoc-bench/6");
+            ("jobs", int (Adhoc.Util.Pool.jobs pool));
+            ("experiments", Arr (List.rev_map outcome_json !results));
           ]
       in
       output_string oc (to_string doc);

@@ -42,21 +42,24 @@ let nodes_t =
     & info [ "n"; "nodes" ] ~docv:"N" ~doc:"Number of nodes (at least 2).")
 
 let theta_t =
+  let angle = checked Arg.float (fun t -> t > 0. && t <= 2. *. Float.pi) "a number in (0, 2π]" in
   Arg.(
     value
-    & opt float (Float.pi /. 6.)
+    & opt angle (Float.pi /. 6.)
     & info [ "theta" ] ~docv:"RAD" ~doc:"Sector angle of ΘALG (radians, ≤ π/3 for the paper's guarantees).")
 
 let range_factor_t =
+  let factor = checked Arg.float (fun f -> f > 0. && Float.is_finite f) "a finite number > 0" in
   Arg.(
     value
-    & opt float 1.5
+    & opt factor 1.5
     & info [ "range-factor" ] ~docv:"F"
         ~doc:"Transmission range as a multiple of the connectivity threshold.")
 
 let delta_t =
+  let guard = checked Arg.float (fun d -> d >= 0. && Float.is_finite d) "a finite number >= 0" in
   Arg.(
-    value & opt float 0.5
+    value & opt guard 0.5
     & info [ "delta" ] ~docv:"D" ~doc:"Interference guard-zone parameter Δ.")
 
 let dist_t =
@@ -462,7 +465,7 @@ let analyze_cmd =
   in
   let top_t =
     Arg.(
-      value & opt int 15
+      value & opt (int_at_least 0) 15
       & info [ "top" ] ~docv:"K" ~doc:"Rows in the busiest-edges table (default 15).")
   in
   let svg_t =
@@ -633,7 +636,9 @@ let analyze_cmd =
 
 let geo_cmd =
   let trials_t =
-    Arg.(value & opt int 500 & info [ "trials" ] ~docv:"K" ~doc:"Random connected pairs to route.")
+    Arg.(
+      value & opt (int_at_least 1) 500
+      & info [ "trials" ] ~docv:"K" ~doc:"Random connected pairs to route.")
   in
   let run jobs seed n theta range_factor delta dist trials =
     with_jobs jobs @@ fun pool ->

@@ -1,7 +1,8 @@
 let two_pi = 2. *. Float.pi
 
 let count theta =
-  if theta <= 0. then invalid_arg "Sector.count: theta must be positive";
+  if not (theta > 0. && Float.is_finite theta) then
+    invalid_arg "Sector.count: theta must be positive and finite";
   int_of_float (Float.ceil ((two_pi /. theta) -. 1e-9))
 
 let index ~theta ~apex p =

@@ -4,8 +4,8 @@
     Each node divides the full angle into [count theta] sectors of width
     [theta], sector [i] covering polar angles [[i·theta, (i+1)·theta)].
     [theta] must satisfy [0 < theta <= pi /. 3.] for the paper's stretch
-    analysis, but the module itself accepts any positive width that divides
-    [2π] into at least one sector. *)
+    analysis, but the module itself accepts any positive finite width, which
+    divides [2π] into at least one sector. *)
 
 val count : float -> int
 (** Number of sectors, [ceil (2π / theta)].  The last sector may be narrower

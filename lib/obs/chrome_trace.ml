@@ -8,23 +8,8 @@
    deterministic slot-major merge), so two runs of the same workload
    produce structurally identical documents; only ts/dur differ.
 
-   Hand-rolled JSON, same as the bench harness: the toolchain ships no
-   JSON library and the format is five fixed shapes. *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+   Printf formats for the five fixed shapes; strings go through the
+   shared JSON escape. *)
 
 let cat = function Domprof.Region -> "region" | Domprof.Chunk -> "chunk" | Domprof.Scope -> "span"
 
@@ -41,7 +26,7 @@ let to_buffer ?(process_name = "adhoc") buf dp =
   add_event buf ~first
     (Printf.sprintf
        "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \"args\": {\"name\": \"%s\"}}"
-       (escape process_name));
+       (Adhoc_util.Json.escape process_name));
   (* Name each lane that recorded anything, so the viewer's rows read
      "slot 0 (caller)" / "slot i (worker i-1)" instead of bare tids. *)
   let used = Array.make (Domprof.slots dp) false in
@@ -71,7 +56,7 @@ let to_buffer ?(process_name = "adhoc") buf dp =
       add_event buf ~first
         (Printf.sprintf
            "{\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"name\": \"%s\", \"cat\": \"%s\", \"ts\": %.3f, \"dur\": %.3f%s}"
-           e.Domprof.slot (escape e.Domprof.label) (cat e.Domprof.kind) ts (Float.max 0. dur) args))
+           e.Domprof.slot (Adhoc_util.Json.escape e.Domprof.label) (cat e.Domprof.kind) ts (Float.max 0. dur) args))
     es;
   Buffer.add_string buf "\n], \"displayTimeUnit\": \"ms\"}\n"
 

@@ -221,122 +221,28 @@ let save_jsonl log file =
 
 (* ------------------------------------------------------------------ *)
 (* Parsing.  Each line must be exactly one JSON object whose members are
-   scalars (the format has no nesting), with any JSON whitespace between
-   tokens; member order is not assumed, and a repeated key's last value
-   wins. *)
+   scalars (the format has no nesting), read by the shared strict reader:
+   any JSON whitespace between tokens, any member order, no repeated
+   member name.  Strings arrive undecoded; every string of the format is
+   a plain ASCII word, so an escaped word matches no key or kind. *)
+
+module Json = Adhoc_util.Json
 
 exception Parse of string
 
-type value = Str of string | Num of string | Bool of bool | Null
-
-let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
-
-(* The line's members, last first, so [List.assoc] finds the last value. *)
-let parse_object line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail what = raise (Parse (Printf.sprintf "%s at column %d" what (!pos + 1))) in
-  let peek () = if !pos < n then line.[!pos] else '\000' in
-  let skip_ws () =
-    while !pos < n && (match line.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if !pos < n && line.[!pos] = c then incr pos else fail (Printf.sprintf "expected %C" c)
-  in
-  (* Every string of the format is a plain ASCII word, so escapes are
-     checked for JSON syntax but not decoded: an escaped word matches no
-     key or kind. *)
-  let string () =
-    expect '"';
-    let start = !pos in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      let c = line.[!pos] in
-      incr pos;
-      match c with
-      | '"' -> String.sub line start (!pos - 1 - start)
-      | '\\' ->
-          (match peek () with
-          | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> incr pos
-          | 'u' when !pos + 5 <= n && String.for_all is_hex (String.sub line (!pos + 1) 4) ->
-              pos := !pos + 5
-          | _ -> fail "bad escape");
-          go ()
-      | c when Char.code c < 0x20 -> fail "control character in string"
-      | _ -> go ()
-    in
-    go ()
-  in
-  let digits () =
-    let start = !pos in
-    while !pos < n && match line.[!pos] with '0' .. '9' -> true | _ -> false do
-      incr pos
-    done;
-    if !pos = start then fail "bad number"
-  in
-  let number () =
-    let start = !pos in
-    if peek () = '-' then incr pos;
-    if peek () = '0' then incr pos else digits ();
-    if peek () = '.' then begin
-      incr pos;
-      digits ()
-    end;
-    if peek () = 'e' || peek () = 'E' then begin
-      incr pos;
-      if peek () = '+' || peek () = '-' then incr pos;
-      digits ()
-    end;
-    Num (String.sub line start (!pos - start))
-  in
-  let literal word v =
-    let k = String.length word in
-    if !pos + k <= n && String.sub line !pos k = word then begin
-      pos := !pos + k;
-      v
-    end
-    else fail "bad value"
-  in
-  let value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> Str (string ())
-    | '-' | '0' .. '9' -> number ()
-    | 't' -> literal "true" (Bool true)
-    | 'f' -> literal "false" (Bool false)
-    | 'n' -> literal "null" Null
-    | _ -> fail "expected a string, number, boolean or null"
-  in
-  expect '{';
-  skip_ws ();
-  let members =
-    if peek () = '}' then begin
-      incr pos;
-      []
-    end
-    else
-      let rec go acc =
-        let key = string () in
-        expect ':';
-        let acc = (key, value ()) :: acc in
-        skip_ws ();
-        match peek () with
-        | ',' ->
-            incr pos;
-            go acc
-        | '}' ->
-            incr pos;
-            acc
-        | _ -> fail "expected ',' or '}'"
-      in
-      go []
-  in
-  skip_ws ();
-  if !pos < n then fail "text after the object";
-  members
+(* The members of a one-object line. *)
+let flat_object line =
+  match Json.of_string line with
+  | Error msg -> raise (Parse msg)
+  | Ok (Json.Obj members) ->
+      List.iter
+        (function
+          | key, (Json.Arr _ | Json.Obj _) ->
+              raise (Parse (Printf.sprintf "member %S is not a string, number, boolean or null" key))
+          | _ -> ())
+        members;
+      members
+  | Ok _ -> raise (Parse "not a JSON object")
 
 (* Field [key] of a parsed line, converted by [conv]; [what] names the
    expected kind in the error. *)
@@ -348,16 +254,18 @@ let field o key what conv =
       | Some x -> x
       | None -> raise (Parse (Printf.sprintf "field %S is not %s" key what)))
 
-let int_field o key = field o key "an integer" (function Num s -> int_of_string_opt s | _ -> None)
+let int_field o key =
+  field o key "an integer" (function Json.Num s -> int_of_string_opt s | _ -> None)
 
-let float_field o key = field o key "a number" (function Num s -> float_of_string_opt s | _ -> None)
+let float_field o key =
+  field o key "a number" (function Json.Num s -> float_of_string_opt s | _ -> None)
 
-let bool_field_of o key = field o key "a boolean" (function Bool b -> Some b | _ -> None)
+let bool_field_of o key = field o key "a boolean" (function Json.Bool b -> Some b | _ -> None)
 
-let string_field o key = field o key "a string" (function Str s -> Some s | _ -> None)
+let string_field o key = field o key "a string" (function Json.Str s -> Some s | _ -> None)
 
 let parse_event line =
-  let o = parse_object line in
+  let o = flat_object line in
   match string_field o "ev" with
   | "inject" ->
       Inject
@@ -414,7 +322,7 @@ let load_jsonl file =
           match header with
           | None -> Error (file ^ ": empty file")
           | Some h -> (
-              match string_field (parse_object h) "schema" with
+              match string_field (flat_object h) "schema" with
               | exception Parse _ -> Error (file ^ ":1: missing \"schema\" header line")
               | s when s <> schema ->
                   Error

@@ -128,10 +128,13 @@ val save_jsonl : log -> string -> unit
 
 val load_jsonl : string -> (t array, string) result
 (** Parse a file written by {!save_jsonl}, or the same objects re-written
-    by another JSON writer (any whitespace between tokens, any member
-    order; string escapes are checked but not decoded, since every
-    string of the format is a plain ASCII word).  Checks the schema header, that every non-empty line is
-    exactly one JSON object with the event's fields, and the emitters'
-    step contract (no negative step, no step below its predecessor's);
-    [Error msg] carries the file/line of the first problem.  Costs
-    round-trip exactly. *)
+    by another JSON writer.  Each line is read by the shared strict
+    reader, {!Adhoc_util.Json.of_string}: any whitespace between tokens
+    and any member order are accepted, a repeated member name is
+    rejected, and string escapes are checked but not decoded (every
+    string of the format is a plain ASCII word).  Checks the schema
+    header, that every non-empty line is exactly one flat JSON object
+    with the event's fields (integer fields as integer literals), and
+    the emitters' step contract (no negative step, no step below its
+    predecessor's); [Error msg] reads [FILE:LINE: problem] for the first
+    problem.  Costs round-trip exactly. *)

@@ -1,12 +1,7 @@
 type counter = { mutable count : int }
 type gauge = { mutable value : float }
 
-type histogram = {
-  buckets : float array;
-  counts : int array;  (* length buckets + 1; last bin is overflow *)
-  mutable total : int;
-  mutable sum : float;
-}
+type histogram = Sketch.t
 
 type instrument = C of counter | G of gauge | H of histogram
 
@@ -50,39 +45,14 @@ let gauge t name =
 let set g v = g.value <- v
 
 let histogram t name ~buckets =
-  let k = Array.length buckets in
-  if k = 0 then invalid_arg "Metrics.histogram: no buckets";
-  for i = 1 to k - 1 do
-    if not (buckets.(i) > buckets.(i - 1)) then
-      invalid_arg "Metrics.histogram: buckets must be strictly increasing"
-  done;
-  let make () =
-    H { buckets = Array.copy buckets; counts = Array.make (k + 1) 0; total = 0; sum = 0. }
-  in
+  let make () = H (Sketch.create ~buckets ()) in
   let match_existing = function
-    | H h as i -> if h.buckets = buckets then Some i else None
+    | H h as i -> if Sketch.bounds h = buckets then Some i else None
     | _ -> None
   in
   match register t name make match_existing with H h -> h | _ -> assert false
 
-(* Index of the first bound >= x, or the overflow bin. *)
-let bin h x =
-  let k = Array.length h.buckets in
-  if x > h.buckets.(k - 1) then k
-  else begin
-    let lo = ref 0 and hi = ref (k - 1) in
-    (* Invariant: buckets.(hi) >= x and (lo = 0 or buckets.(lo-1) < x). *)
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if h.buckets.(mid) >= x then hi := mid else lo := mid + 1
-    done;
-    !lo
-  end
-
-let observe h x =
-  h.counts.(bin h x) <- h.counts.(bin h x) + 1;
-  h.total <- h.total + 1;
-  h.sum <- h.sum +. x
+let observe = Sketch.observe
 
 type value =
   | Counter of int
@@ -100,10 +70,10 @@ let snapshot t =
         | H h ->
             Histogram
               {
-                buckets = Array.copy h.buckets;
-                counts = Array.copy h.counts;
-                total = h.total;
-                sum = h.sum;
+                buckets = Sketch.bounds h;
+                counts = Sketch.counts h;
+                total = Sketch.count h;
+                sum = Sketch.sum h;
               }
       in
       (name, v) :: acc)

@@ -40,11 +40,13 @@ val set : gauge -> float -> unit
 val histogram : t -> string -> buckets:float array -> histogram
 (** [histogram t name ~buckets] registers a histogram whose bins are
     [(-inf, b0], (b0, b1], …, (bk, +inf)] — an observation equal to a
-    bound lands in that bound's bin.  [buckets] must be non-empty and
-    strictly increasing.  Re-registration under the same name requires
-    identical buckets. *)
+    bound lands in that bound's bin.  [buckets] must be non-empty,
+    finite and strictly increasing ({!Sketch.create} raises
+    [Invalid_argument] otherwise).  Re-registration under the same name
+    requires identical buckets. *)
 
 val observe : histogram -> float -> unit
+(** {!Sketch.observe}: [nan] is ignored. *)
 
 type value =
   | Counter of int

@@ -14,7 +14,7 @@ type t = {
 let degree_bound ~theta = int_of_float (Float.ceil (4. *. Float.pi /. theta))
 
 let build ?pool ~theta ~range points =
-  if theta <= 0. || theta > 2. *. Float.pi then invalid_arg "Theta_alg.build: bad theta";
+  if not (theta > 0. && theta <= 2. *. Float.pi) then invalid_arg "Theta_alg.build: bad theta";
   let n = Array.length points in
   let selections = Yao.selections ?pool ~theta ~range points in
   (* Invert the selection relation: incoming.(u) = nodes v with u ∈ N(v).

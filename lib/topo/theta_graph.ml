@@ -3,7 +3,8 @@ module Graph = Adhoc_graph.Graph
 module Pool = Adhoc_util.Pool
 
 let build ?pool ~theta ~range points =
-  if theta <= 0. then invalid_arg "Theta_graph.build: theta must be positive";
+  if not (theta > 0. && Float.is_finite theta) then
+    invalid_arg "Theta_graph.build: theta must be positive and finite";
   if range < 0. then invalid_arg "Theta_graph.build: negative range";
   let n = Array.length points in
   let sectors = Sector.count theta in

@@ -24,7 +24,7 @@ type stats = {
 type position_msg = { sender : int; pos : Point.t }
 
 let run ?pool ~theta ~range points =
-  if theta <= 0. then invalid_arg "Theta_protocol.run: bad theta";
+  if not (theta > 0. && Float.is_finite theta) then invalid_arg "Theta_protocol.run: bad theta";
   let n = Array.length points in
   let sectors = Sector.count theta in
 

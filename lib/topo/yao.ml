@@ -7,7 +7,8 @@ let closer points u a b =
   c < 0 || (c = 0 && a < b)
 
 let selections ?pool ~theta ~range points =
-  if theta <= 0. then invalid_arg "Yao.selections: theta must be positive";
+  if not (theta > 0. && Float.is_finite theta) then
+    invalid_arg "Yao.selections: theta must be positive and finite";
   if range < 0. then invalid_arg "Yao.selections: negative range";
   let n = Array.length points in
   let sectors = Sector.count theta in

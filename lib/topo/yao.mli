@@ -18,7 +18,8 @@ val selections :
 (** [selections ~theta ~range points] returns [N]: [N.(u)] lists the nodes
     selected by [u], one per non-empty sector (each is the nearest node of
     the sector at distance ≤ [range]), in ascending node order.
-    Requires [0 < theta] and [range >= 0] ([infinity] for unbounded).
+    Requires a finite [theta > 0] and [range >= 0] ([infinity] for
+    unbounded).
     [?pool] parallelizes the per-node selection; output is bit-identical
     for any pool size. *)
 

@@ -66,7 +66,7 @@ let test_metrics_kind_clash () =
 let test_metrics_bad_buckets () =
   let m = Metrics.create () in
   Alcotest.check_raises "non-increasing buckets"
-    (Invalid_argument "Metrics.histogram: buckets must be strictly increasing")
+    (Invalid_argument "Sketch.create: bucket bounds must be strictly increasing")
     (fun () -> ignore (Metrics.histogram m "h" ~buckets:[| 1.; 1. |]))
 
 let test_metrics_snapshot_sorted () =
@@ -496,7 +496,10 @@ let test_event_jsonl_one_object () =
   rejects "unclosed object" [ "{\"ev\":\"epoch\",\"step\":3,\"epoch\":0" ] ":2: ";
   rejects "text after the object"
     [ "{\"ev\":\"epoch\",\"step\":3,\"epoch\":0}"; "{\"ev\":\"epoch\",\"step\":4,\"epoch\":1} x" ]
-    ":3: "
+    ":3: ";
+  rejects "repeated member name"
+    [ "{\"ev\":\"epoch\",\"step\":3,\"epoch\":0,\"step\":1}" ]
+    ":2: repeated member name \"step\""
 
 (* Byte flips, digit changes and truncations of a recorded log: the loader
    either rejects the file or hands every reader a log it can fold. *)

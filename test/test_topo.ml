@@ -745,6 +745,27 @@ let test_degenerate_totality () =
       check "cbtc" (Cbtc.build ~alpha:(2. *. Float.pi /. 3.) ~range:1. points).Cbtc.graph)
     sets
 
+(* NaN and +inf pass a [theta <= 0.] guard and leave a sector count
+   <= 0 behind it; every entry point rejects them with its own message. *)
+let test_nonfinite_theta () =
+  let points = [| Point.make 0.25 0.5; Point.make 0.75 0.5 |] in
+  List.iter
+    (fun theta ->
+      let rejects msg f =
+        Alcotest.check_raises (Printf.sprintf "theta %g: %s" theta msg) (Invalid_argument msg) f
+      in
+      rejects "Sector.count: theta must be positive and finite" (fun () ->
+          ignore (Sector.count theta));
+      rejects "Yao.selections: theta must be positive and finite" (fun () ->
+          ignore (Yao.selections ~theta ~range:1. points));
+      rejects "Theta_graph.build: theta must be positive and finite" (fun () ->
+          ignore (Theta_graph.build ~theta ~range:1. points));
+      rejects "Theta_protocol.run: bad theta" (fun () ->
+          ignore (Theta_protocol.run ~theta ~range:1. points));
+      rejects "Theta_alg.build: bad theta" (fun () ->
+          ignore (Theta_alg.build ~theta ~range:1. points)))
+    [ Float.nan; Float.infinity ]
+
 let () =
   Alcotest.run "topo"
     [
@@ -771,6 +792,7 @@ let () =
           test_theta_admitted_are_selectors;
           case "tiny instances" test_theta_empty_and_tiny;
           case "degree bound values" test_degree_bound_value;
+          case "non-finite theta rejected" test_nonfinite_theta;
         ] );
       ( "protocol",
         [ test_protocol_equals_direct; test_protocol_message_counts ] );

@@ -2,6 +2,7 @@ module Pqueue = Adhoc_util.Pqueue
 module Union_find = Adhoc_util.Union_find
 module Stats = Adhoc_util.Stats
 module Table = Adhoc_util.Table
+module Json = Adhoc_util.Json
 open Helpers
 
 (* ------------------------------------------------------------------ *)
@@ -365,6 +366,139 @@ let test_prng_bool_balance () =
   let p = float_of_int !trues /. float_of_int n in
   if Float.abs (p -. 0.5) > 0.01 then Alcotest.failf "bool biased: %f" p
 
+(* ------------------------------------------------------------------ *)
+(* Json                                                                *)
+
+(* A random value whose strings need no escaping.  Numbers take every
+   literal form: sign, zero or a leading nonzero digit, fraction,
+   exponent with either letter and any sign. *)
+let json_value rng =
+  let pick xs = List.nth xs (Prng.int rng (List.length xs)) in
+  let digits k = String.init k (fun _ -> Char.chr (48 + Prng.int rng 10)) in
+  let number () =
+    let int_part =
+      if Prng.int rng 4 = 0 then "0"
+      else String.make 1 (Char.chr (49 + Prng.int rng 9)) ^ digits (Prng.int rng 4)
+    in
+    Json.Num
+      (pick [ ""; "-" ] ^ int_part
+      ^ (if Prng.bool rng then "." ^ digits (1 + Prng.int rng 4) else "")
+      ^
+      if Prng.bool rng then pick [ "e"; "E" ] ^ pick [ ""; "+"; "-" ] ^ digits (1 + Prng.int rng 3)
+      else "")
+  in
+  let word () = String.concat "" (List.init (Prng.int rng 5) (fun _ -> pick [ "a"; "Z"; "7"; " "; "/"; "_"; "é" ])) in
+  let rec value depth =
+    match Prng.int rng (if depth = 0 then 5 else 7) with
+    | 0 -> Json.Null
+    | 1 -> Json.Bool (Prng.bool rng)
+    | 2 | 3 -> number ()
+    | 4 -> Json.Str (word ())
+    | 5 -> Json.Arr (List.init (Prng.int rng 4) (fun _ -> value (depth - 1)))
+    | _ ->
+        (* The index suffix keeps member names distinct. *)
+        Json.Obj (List.init (Prng.int rng 4) (fun i -> (word () ^ string_of_int i, value (depth - 1))))
+  in
+  value 3
+
+let test_json_roundtrip =
+  qtest "of_string (to_string v) = Ok v" ~count:500 seed_gen (fun seed ->
+      let v = json_value (Prng.create seed) in
+      Json.of_string (Json.to_string v) = Ok v)
+
+(* Recorded outputs of every writer whose documents the tools read back. *)
+let json_documents =
+  lazy
+    [
+      In_channel.with_open_bin "../BENCH_BASELINE.json" In_channel.input_all;
+      {|{"traceEvents": [
+  {"ph": "M", "pid": 1, "tid": 0, "name": "process_name", "args": {"name": "adhoc bench e11"}},
+  {"ph": "M", "pid": 1, "tid": 1, "name": "thread_name", "args": {"name": "slot 1 (worker 0)"}},
+  {"ph": "X", "pid": 1, "tid": 0, "name": "bench/seeds", "cat": "region", "ts": 4023447.990, "dur": 6928969.145, "args": {"lo": 0, "hi": 2, "items": 2}},
+  {"ph": "X", "pid": 1, "tid": 0, "name": "pool/bench/seeds", "cat": "span", "ts": 4023442.984, "dur": 6928979.158}
+], "displayTimeUnit": "ms"}
+|};
+      {|{"final":true,"steps":281,"events":55,"windows":6,"injected":41,"dropped":0,"delivered":0,"self":0,"sends":14,"collisions":0,"control":0,"buffered":41,"violations":0,"healthy":true,"anomalies":0,"energy":0.15794445144963348,"latency_mean":null,"latency_p50":null,"occupancy_mean":22.612244897959183,"occupancy_p50":32,"top_edges":[[125,7,0],[2,4,0],[142,3,0]],"top_nodes":[[31,7,0],[32,7,0]]}|};
+      {|{"ev":"send","step":34,"edge":125,"src":32,"dst":31,"dest":0,"cost":0.00441853400190448,"outcome":"moved"}|};
+    ]
+
+let test_json_documents_read () =
+  List.iteri
+    (fun i doc ->
+      match Json.of_string doc with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "document %d: %s" i msg)
+    (Lazy.force json_documents)
+
+(* Byte flips, digit swaps and truncations: the reader answers Ok or
+   Error, and never raises. *)
+let test_json_mutations =
+  qtest "mutated documents read as Ok or Error" ~count:400 seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let docs = Lazy.force json_documents in
+      let doc = List.nth docs (Prng.int rng (List.length docs)) in
+      let b = Bytes.of_string doc in
+      let mutated =
+        match Prng.int rng 3 with
+        | 0 -> String.sub doc 0 (Prng.int rng (String.length doc))
+        | 1 ->
+            Bytes.set b (Prng.int rng (Bytes.length b)) (Char.chr (Prng.int rng 256));
+            Bytes.to_string b
+        | _ ->
+            let rec pick () =
+              let i = Prng.int rng (Bytes.length b) in
+              match Bytes.get b i with '0' .. '9' -> i | _ -> pick ()
+            in
+            Bytes.set b (pick ()) (Char.chr (48 + Prng.int rng 10));
+            Bytes.to_string b
+      in
+      match Json.of_string mutated with Ok _ | Error _ -> true)
+
+let test_json_grammar () =
+  let rejects what text expected =
+    match Json.of_string text with
+    | Error msg -> Alcotest.(check string) what expected msg
+    | Ok _ -> Alcotest.failf "%s: %S accepted" what text
+  in
+  rejects "leading zero" "01" "leading zero at offset 1";
+  rejects "leading zero after a minus" "[-01]" "leading zero at offset 3";
+  rejects "no fraction digits" "1." "expected a digit at offset 2";
+  rejects "no integer part" ".5" "expected a value at offset 0";
+  rejects "lone minus" "-" "expected a digit at offset 1";
+  rejects "no exponent digits" "1e+" "expected a digit at offset 3";
+  rejects "non-hex \\u escape" {|"\u00_1"|} "bad \\u escape at offset 5";
+  rejects "short \\u escape" {|"\u12"|} "bad \\u escape at offset 5";
+  rejects "unknown escape" {|"\x"|} "bad escape at offset 2";
+  rejects "raw control character" "\"a\tb\"" "control character in string at offset 2";
+  rejects "trailing text" "{} x" "text after the value at offset 3";
+  rejects "second value" "1 2" "text after the value at offset 2";
+  rejects "repeated name" {|{"a":1,"a":2}|} "repeated member name \"a\" at offset 7";
+  rejects "unterminated string" {|"ab|} "unterminated string at offset 3";
+  rejects "empty input" " " "unexpected end of input at offset 1";
+  let reads text v = Alcotest.(check bool) text true (Json.of_string text = Ok v) in
+  reads " -0 " (Json.Num "-0");
+  reads "1.5E+10" (Json.Num "1.5E+10");
+  reads {|"a\"é\/"|} (Json.Str {|a\"é\/|});
+  reads {|[{"a":1},{"a":2}]|}
+    (Json.Arr [ Json.Obj [ ("a", Json.Num "1") ]; Json.Obj [ ("a", Json.Num "2") ] ]);
+  reads "{ \"a\" : [ ] ,\r\n\"b\":{}}" (Json.Obj [ ("a", Json.Arr []); ("b", Json.Obj []) ])
+
+let test_json_writer () =
+  Alcotest.(check string) "escapes" {|"q\"b\\n\nr\rt\tc\u0001"|}
+    (Json.to_string (Json.Str "q\"b\\n\nr\rt\tc\001"));
+  Alcotest.(check string) "compact"
+    {|{"i":-3,"f":0.1,"big":1e+20,"nan":null,"inf":null,"l":[true,false,null]}|}
+    (Json.to_string
+       (Json.Obj
+          [
+            ("i", Json.int (-3));
+            ("f", Json.float 0.1);
+            ("big", Json.float 1e20);
+            ("nan", Json.float Float.nan);
+            ("inf", Json.float Float.infinity);
+            ("l", Json.Arr [ Json.Bool true; Json.Bool false; Json.Null ]);
+          ]))
+
 let () =
   Alcotest.run "util"
     [
@@ -416,5 +550,13 @@ let () =
           case "rendering" test_table_rendering;
           case "cell mismatch" test_table_mismatch;
           case "float row" test_table_float_row;
+        ] );
+      ( "json",
+        [
+          test_json_roundtrip;
+          case "recorded documents read" test_json_documents_read;
+          test_json_mutations;
+          case "grammar" test_json_grammar;
+          case "writer" test_json_writer;
         ] );
     ]
