@@ -252,13 +252,16 @@ let e8 () =
           in
           analytic := Float.max !analytic s)
         b.Pipeline.conflict.Conflict.sets;
-      let measured = ref [] and max_solid = ref 0. in
+      (* No edge may reach 200 activations (n = 256): the maximum is then
+         empty and prints as n/a, not as 0. *)
+      let measured = ref [] and max_solid = ref None in
       Array.iteri
         (fun e a ->
           if a > 0 then begin
             let p = float_of_int collided_count.(e) /. float_of_int a in
             measured := p :: !measured;
-            if a >= 200 then max_solid := Float.max !max_solid p
+            if a >= 200 then
+              max_solid := Some (Option.fold ~none:p ~some:(Float.max p) !max_solid)
           end)
         active_count;
       Table.add_row t
@@ -267,7 +270,7 @@ let e8 () =
           string_of_int b.Pipeline.interference_number;
           fmt3 !analytic;
           fmt3 (Stats.mean (Array.of_list !measured));
-          fmt3 !max_solid;
+          Option.fold ~none:"n/a" ~some:fmt3 !max_solid;
         ])
     [ 64; 128; 256 ];
   Table.print t;

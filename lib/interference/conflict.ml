@@ -31,72 +31,119 @@ let build_brute model ~points g =
   in
   { model; sets }
 
-let empty_sets m = Array.make m [||]
-
 let build ?pool model ~points g =
   let m = Graph.num_edges g in
-  if m = 0 || Array.length points = 0 then { model; sets = empty_sets m }
+  let reach e = Model.reach model ~points ~x:(Graph.edge_u g e) ~y:(Graph.edge_v g e) in
+  let cell = ref 0. in
+  for e = 0 to m - 1 do
+    cell := Float.max !cell (reach e)
+  done;
+  (* No reach above 0 (no edges, or only zero-length ones): every open
+     guard disk is empty. *)
+  if not (!cell > 0.) then { model; sets = Array.make m [||] }
   else begin
-    let max_len = ref 0. in
-    for e = 0 to m - 1 do
-      max_len := Float.max !max_len (Graph.length g e)
-    done;
-    let max_len = !max_len in
-    let reach = Model.region_radius model max_len in
-    if reach <= 0. then { model; sets = empty_sets m }
-    else begin
-      let grid = Spatial_grid.build ~cell:reach points in
-      (* Any edge interfering with e (in either direction) has an endpoint
-         within (1+Δ)·max_len of one of e's endpoints: if e' interferes with
-         e then an endpoint of e lies within (1+Δ)·len(e') ≤ reach of an
-         endpoint of e'; the converse direction is symmetric.
-
-         Phase 1 (parallel-safe, disjoint writes): higher.(e) = interfering
-         partners with id > e, ascending.  Phase 2 assembles the symmetric
-         rows sequentially: row e gets its partners below e first (ascending
-         outer loop), then its own higher list — and since every lower
-         partner < e < every higher partner, each row ends up fully
-         ascending. *)
-      let module ISet = Set.Make (Int) in
-      let partners e =
-        let u, v = Graph.endpoints g e in
-        let candidates = ref ISet.empty in
-        let add_node w =
-          Graph.iter_neighbors g w (fun _ id ->
-              if id > e then candidates := ISet.add id !candidates)
-        in
-        Spatial_grid.iter_within grid points.(u) reach add_node;
-        Spatial_grid.iter_within grid points.(v) reach add_node;
-        let acc = ref [] in
-        ISet.iter
-          (fun e' -> if Model.interferes model ~points (u, v) (edge_pair g e') then acc := e' :: !acc)
-          !candidates;
-        Array.of_list (List.rev !acc)
+    let grid = Spatial_grid.build ~cell:!cell points in
+    (* Phase 1, one pure body per edge e = (u,v).  out(e), the edges with
+       an endpoint inside IR(e), is every edge incident to a node w with
+       |cw| < r for a centre c ∈ {u, v}, r = Model.reach.  An edge
+       e' = (a,b), a < b, is reported only at its first witness (c, w) in
+       the order (u,a), (u,b), (v,a), (v,b), so at most three distance
+       tests decide it and no scratch is shared.  A pair in both out(e)
+       and out(e') is kept only by its lower id: each unordered pair is
+       reported exactly once. *)
+    let reports e =
+      let u = Graph.edge_u g e and v = Graph.edge_v g e in
+      let r = reach e in
+      let r2 = r *. r in
+      let pu = points.(u) and pv = points.(v) in
+      (* Model.in_region's strict test, with Point.dist2's expression
+         written out so that no float is boxed. *)
+      let inside (c : Point.t) w =
+        let p = points.(w) in
+        let dx = c.Point.x -. p.Point.x and dy = c.Point.y -. p.Point.y in
+        (dx *. dx) +. (dy *. dy) < r2
       in
-      let higher = Adhoc_util.Pool.opt_init pool ~label:"conflict" m partners in
-      let deg = Array.make m 0 in
-      for e = 0 to m - 1 do
-        deg.(e) <- deg.(e) + Array.length higher.(e);
-        Array.iter (fun e' -> deg.(e') <- deg.(e') + 1) higher.(e)
+      let acc = ref [] in
+      (* One visitor per edge; [w] and [from_v] name the witness node and
+         its centre for the current call. *)
+      let w = ref 0 and from_v = ref false in
+      let visit other e' =
+        if e' <> e then begin
+          let w = !w in
+          let a = if w < other then w else other and b = if w < other then other else w in
+          let first =
+            if !from_v then not (inside pu a) && not (inside pu b) && (w = a || not (inside pv a))
+            else w = a || not (inside pu a)
+          in
+          if first && (e < e' || not (Model.one_way model ~points ~src:(a, b) ~dst:(u, v))) then
+            acc := e' :: !acc
+        end
+      in
+      let scan c is_v =
+        Spatial_grid.iter_within grid c r (fun x ->
+            if inside c x then begin
+              w := x;
+              from_v := is_v;
+              Graph.iter_neighbors g x visit
+            end)
+      in
+      scan pu false;
+      scan pv true;
+      Array.of_list !acc
+    in
+    let out = Adhoc_util.Pool.opt_init pool ~label:"conflict" m reports in
+    (* Phase 2, sequential counting passes.  Row sizes, and per lower id
+       the number of pairs reported from their higher id. *)
+    let deg = Array.make m 0 and tail = Array.make m 0 in
+    for e = 0 to m - 1 do
+      let row = out.(e) in
+      deg.(e) <- deg.(e) + Array.length row;
+      for k = 0 to Array.length row - 1 do
+        let e' = row.(k) in
+        deg.(e') <- deg.(e') + 1;
+        if e' < e then tail.(e') <- tail.(e') + 1
+      done
+    done;
+    let sets = Array.init m (fun e -> Array.make deg.(e) 0) in
+    let fill = Array.init m (fun x -> deg.(x) - tail.(x)) in
+    let push e x =
+      sets.(e).(fill.(e)) <- x;
+      fill.(e) <- fill.(e) + 1
+    in
+    (* Counting-sort transpose of those pairs, in place: row x's last
+       [tail.(x)] cells receive the higher ids that reported x.  They lie
+       in the part of the row that will hold x's partners above x, so the
+       lower parts filled next never reach them. *)
+    for e = 0 to m - 1 do
+      let row = out.(e) in
+      for k = 0 to Array.length row - 1 do
+        if row.(k) < e then push row.(k) e
+      done
+    done;
+    Array.fill fill 0 m 0;
+    (* Lower parts: x ascending appends x to the row of each higher
+       partner, so every row's partners below it come out ascending.
+       Row x's transposed cells are read here, before the upper parts
+       overwrite them. *)
+    for x = 0 to m - 1 do
+      let row = out.(x) in
+      for k = 0 to Array.length row - 1 do
+        if row.(k) > x then push row.(k) x
       done;
-      let sets = Array.init m (fun e -> Array.make deg.(e) 0) in
-      let fill = Array.make m 0 in
-      for e = 0 to m - 1 do
-        Array.iter
-          (fun e' ->
-            sets.(e').(fill.(e')) <- e;
-            fill.(e') <- fill.(e') + 1)
-          higher.(e)
-      done;
-      for e = 0 to m - 1 do
-        Array.iter
-          (fun e' ->
-            sets.(e).(fill.(e)) <- e';
-            fill.(e) <- fill.(e) + 1)
-          higher.(e)
-      done;
-      { model; sets }
-    end
+      let row = sets.(x) in
+      for k = deg.(x) - tail.(x) to deg.(x) - 1 do
+        push row.(k) x
+      done
+    done;
+    (* Upper parts: y ascending reads its finished lower part back and
+       appends y to each of those rows, after their own lower parts. *)
+    for y = 0 to m - 1 do
+      let row = sets.(y) in
+      for k = 0 to fill.(y) - 1 do
+        push row.(k) y
+      done
+    done;
+    { model; sets }
   end
 
 let set_sizes t = Array.map Array.length t.sets

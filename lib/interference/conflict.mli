@@ -18,9 +18,20 @@ type t = {
 
 val build :
   ?pool:Adhoc_util.Pool.t -> Model.t -> points:Adhoc_geom.Point.t array -> Adhoc_graph.Graph.t -> t
-(** Grid-accelerated: near-linear for bounded-length edge sets.  [?pool]
-    parallelizes the per-edge candidate/interference tests; the symmetric
-    set assembly replays sequentially, so [sets] is bit-identical. *)
+(** Grid-accelerated, and each edge pays only for its own reach: edge
+    [e = (u,v)] queries the grid at [r = Model.reach] around [u] and [v]
+    and reports the edges incident to every node strictly inside that
+    radius — [out(e)], the edges with an endpoint in [IR(e)].  An edge is
+    reported at its first witness in a fixed (centre, endpoint) order, so
+    a few distance tests decide it with no shared scratch, and a pair
+    found from both sides is kept only by its lower id: every interfering
+    pair is reported once.  The rows are then filled by counting passes,
+    with no set, no comparison sort and no scratch copy of the pairs: the
+    pairs reported from their higher id are transposed into the unused
+    tails of the rows, then two ascending passes fill each row's part
+    below and above its own id.  [?pool] parallelizes the per-edge scans;
+    the assembly runs sequentially, so [sets] is bit-identical for every
+    pool size and equals {!build_brute}'s. *)
 
 val build_brute :
   Model.t -> points:Adhoc_geom.Point.t array -> Adhoc_graph.Graph.t -> t

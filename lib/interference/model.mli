@@ -8,12 +8,20 @@
     sets. *)
 
 type t = { delta : float }
-(** [delta] is the protocol guard-zone parameter Δ > 0. *)
+(** [delta] is the protocol guard-zone parameter Δ ≥ 0. *)
 
 val make : delta:float -> t
+(** Raises [Invalid_argument] unless [delta] is finite and [>= 0]: a NaN
+    guard zone would cover nothing and silently empty every interference
+    set. *)
 
 val region_radius : t -> float -> float
 (** [(1+Δ) · len]. *)
+
+val reach : t -> points:Adhoc_geom.Point.t array -> x:int -> y:int -> float
+(** [(1+Δ) · |xy|] measured on the points: the radius of both disks of
+    [IR(x,y)].  {!in_region} and [Conflict.build] both take the radius from
+    here, so their strict [dist² < reach²] verdicts agree bit for bit. *)
 
 val in_region :
   t ->
@@ -34,4 +42,5 @@ val one_way :
 val interferes :
   t -> points:Adhoc_geom.Point.t array -> int * int -> int * int -> bool
 (** Symmetric interference between two node pairs (either direction of
-    {!one_way}).  Two copies of the same pair always interfere. *)
+    {!one_way}).  Two copies of the same pair interfere unless its
+    endpoints coincide: a zero-length pair's open disks are empty. *)

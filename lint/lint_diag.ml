@@ -149,22 +149,11 @@ let apply_waivers waivers diags =
     diags
 
 (* ------------------------------------------------------------------ *)
-(* JSON rendering (no JSON library in the toolchain; see json_check). *)
+(* JSON rendering: strings go through the repo's one escape,
+   Adhoc_util.Json.escape, so the reports quote exactly as the bench
+   writer does. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+module Json = Adhoc_util.Json
 
 (* Per-rule summary line: id, effective severity, detection layer (as a
    string, so this module stays independent of Lint_rules), unwaived
@@ -198,7 +187,7 @@ let to_json r =
       add
         (Printf.sprintf
            "\n    {\"id\": \"%s\", \"severity\": \"%s\", \"layer\": \"%s\", \"count\": %d, \"waived\": %d}"
-           (json_escape rc.rc_id) (severity_name rc.rc_severity) (json_escape rc.rc_layer) rc.rc_count
+           (Json.escape rc.rc_id) (severity_name rc.rc_severity) (Json.escape rc.rc_layer) rc.rc_count
            rc.rc_waived))
     r.rule_counts;
   add "\n  ],\n";
@@ -210,8 +199,8 @@ let to_json r =
         (Printf.sprintf
            "\n    {\"file\": \"%s\", \"line\": %d, \"col\": %d, \"rule\": \"%s\", \
             \"layer\": \"%s\", \"severity\": \"%s\", \"message\": \"%s\"}"
-           (json_escape d.file) d.line d.col (json_escape d.rule) (diag_layer_name d.layer)
-           (severity_name d.severity) (json_escape d.message)))
+           (Json.escape d.file) d.line d.col (Json.escape d.rule) (diag_layer_name d.layer)
+           (severity_name d.severity) (Json.escape d.message)))
     r.diags;
   add "\n  ],\n";
   add "  \"waivers\": [";
@@ -220,7 +209,7 @@ let to_json r =
       if i > 0 then add ",";
       add
         (Printf.sprintf "\n    {\"file\": \"%s\", \"line\": %d, \"rule\": \"%s\", \"reason\": \"%s\"}"
-           (json_escape w.w_file) w.w_line (json_escape w.w_rule) (json_escape w.w_reason)))
+           (Json.escape w.w_file) w.w_line (Json.escape w.w_rule) (Json.escape w.w_reason)))
     r.used_waivers;
   add "\n  ]\n}\n";
   Buffer.contents buf
@@ -246,7 +235,7 @@ let to_sarif ~rule_docs r =
       if i > 0 then add ",";
       add
         (Printf.sprintf "\n            {\"id\": \"%s\", \"shortDescription\": {\"text\": \"%s\"}}"
-           (json_escape id) (json_escape doc)))
+           (Json.escape id) (Json.escape doc)))
     rule_docs;
   add "\n          ]\n        }\n      },\n";
   add "      \"results\": [";
@@ -258,9 +247,9 @@ let to_sarif ~rule_docs r =
            "\n        {\"ruleId\": \"%s\", \"level\": \"%s\", \"message\": {\"text\": \"%s\"}, \
             \"locations\": [{\"physicalLocation\": {\"artifactLocation\": {\"uri\": \"%s\"}, \
             \"region\": {\"startLine\": %d, \"startColumn\": %d}}}]}"
-           (json_escape d.rule)
+           (Json.escape d.rule)
            (match d.severity with Error -> "error" | Warning -> "warning")
-           (json_escape d.message) (json_escape d.file) d.line (d.col + 1)))
+           (Json.escape d.message) (Json.escape d.file) d.line (d.col + 1)))
     r.diags;
   add "\n      ]\n    }\n  ]\n}\n";
   Buffer.contents buf

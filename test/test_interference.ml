@@ -33,6 +33,15 @@ let test_interferes_cases () =
     (Model.interferes m ~points (2, 3) (0, 1) = Model.interferes m ~points (0, 1) (2, 3));
   Alcotest.(check bool) "self" true (Model.interferes m ~points (0, 1) (0, 1))
 
+let test_make_rejects_bad_delta () =
+  List.iter
+    (fun delta ->
+      match Model.make ~delta with
+      | _ -> Alcotest.failf "Model.make accepted delta = %g" delta
+      | exception Invalid_argument _ -> ())
+    [ Float.nan; Float.infinity; Float.neg_infinity; -1. ];
+  check_close "zero accepted" 0. (Model.make ~delta:0.).Model.delta
+
 let test_asymmetric_one_way () =
   (* A long edge's region can cover a short far edge while the short edge's
      region misses the long one: one_way is genuinely directional. *)
@@ -52,11 +61,51 @@ let overlay_instance seed =
   let alg = Theta_alg.build ~theta:(Float.pi /. 6.) ~range points in
   (points, Theta_alg.overlay alg, Theta_alg.build ~theta:(Float.pi /. 6.) ~range points)
 
+(* Point families on which the first-witness rule can go wrong: repeated
+   points (zero-length edges, whose open guard disks are empty), an exact
+   integer lattice (many distances equal an edge's length exactly), and
+   collinear points.  Edges join every pair within a range, so long and
+   short edges mix. *)
+let witness_instance rng family =
+  let n = 2 + Prng.int rng 30 in
+  let points, range =
+    match family with
+    | 1 ->
+        let base = Adhoc_pointset.Generators.uniform rng (max 1 (n / 3)) in
+        (Array.init n (fun _ -> base.(Prng.int rng (Array.length base))), Prng.range rng 0.1 0.6)
+    | 2 ->
+        let k = 1 + Prng.int rng 6 in
+        ( Array.init n (fun i -> pt (float_of_int (i mod k)) (float_of_int (i / k))),
+          [| 1.; 1.5; 2. |].(Prng.int rng 3) )
+    | _ ->
+        let slope = Prng.range rng (-2.) 2. in
+        ( Array.init n (fun _ ->
+              let t = Prng.uniform rng in
+              pt t (slope *. t)),
+          Prng.range rng 0.1 0.6 )
+  in
+  let pairs = ref [] in
+  for i = n - 1 downto 0 do
+    for j = n - 1 downto i + 1 do
+      if Point.dist points.(i) points.(j) <= range then pairs := (i, j) :: !pairs
+    done
+  done;
+  (points, Graph.geometric points !pairs)
+
+(* Θ-overlays of uniform points, then the witness families; Δ = 0 puts
+   endpoints on the disks' boundary, Δ = 1e6 makes nearly every pair
+   interfere. *)
 let test_build_matches_brute =
-  qtest "grid-accelerated = brute force" ~count:60 seed_gen (fun seed ->
+  qtest "grid-accelerated = brute force" ~count:240 seed_gen (fun seed ->
       let rng = Prng.create (seed + 3) in
-      let points, g, _ = overlay_instance seed in
-      let m = Model.make ~delta:(Prng.range rng 0. 1.) in
+      let points, g =
+        match seed mod 4 with
+        | 0 ->
+            let points, g, _ = overlay_instance seed in
+            (points, g)
+        | family -> witness_instance rng family
+      in
+      let m = Model.make ~delta:[| 0.; 1e6; Prng.range rng 0. 1. |].(seed / 4 mod 3) in
       let fast = Conflict.build m ~points g in
       let brute = Conflict.build_brute m ~points g in
       let edges = List.init (Graph.num_edges g) Fun.id in
@@ -70,6 +119,31 @@ let test_build_matches_brute =
                (fun e' -> Conflict.interfere fast e e' = Array.mem e' brute.Conflict.sets.(e))
                edges)
            edges)
+
+(* build-4k's conflict input (jittered grid, seed 1, 1.5× the critical
+   range, θ = π/6, Δ = 0.5), at [n] points. *)
+let build_4k_instance n =
+  let points = Adhoc_pointset.Generators.jittered_grid ~jitter:0.1 (Prng.create 1) n in
+  let range = 1.5 *. Udg.critical_range points in
+  (points, Theta_alg.overlay (Theta_alg.build ~theta:(Float.pi /. 6.) ~range points))
+
+let test_build_matches_brute_build_4k_eighth () =
+  let points, g = build_4k_instance 512 in
+  let m = Model.make ~delta:0.5 in
+  let fast = Conflict.build m ~points g in
+  Alcotest.(check bool) "same rows" true (fast.Conflict.sets = (Conflict.build_brute m ~points g).Conflict.sets)
+
+(* The Set-based candidate search allocated 77.2M minor words here; the
+   per-edge scan with counting-pass assembly allocates about 16M. *)
+let test_build_allocation () =
+  let points, g = build_4k_instance 4096 in
+  let module Gcstat = Adhoc_obs.Gcstat in
+  let before = Gcstat.read () in
+  let c = Conflict.build (Model.make ~delta:0.5) ~points g in
+  let after = Gcstat.read () in
+  let words = (Gcstat.delta ~before ~after).Gcstat.minor_words in
+  Alcotest.(check int) "pairs" 1409790 (Array.fold_left ( + ) 0 (Conflict.set_sizes c));
+  if words > 35e6 then Alcotest.failf "Conflict.build allocated %.0f minor words" words
 
 let test_interference_number_zero () =
   let points = [| pt 0. 0.; pt 1. 0. |] in
@@ -262,10 +336,13 @@ let () =
           case "in_region" test_in_region;
           case "interferes" test_interferes_cases;
           case "one_way asymmetric" test_asymmetric_one_way;
+          case "make rejects non-finite or negative delta" test_make_rejects_bad_delta;
         ] );
       ( "conflict",
         [
           test_build_matches_brute;
+          case "grid-accelerated = brute force on build-4k at 1/8" test_build_matches_brute_build_4k_eighth;
+          case "build-4k allocation" test_build_allocation;
           case "single edge" test_interference_number_zero;
           test_coloring_proper;
           test_independent_and_greedy;
