@@ -316,7 +316,9 @@ let route_cmd =
       & info [ "check-invariants" ]
           ~doc:
             "Check the event stream online against the packet-conservation invariants and \
-             reconcile it with the final stats; exit non-zero on any violation.")
+             reconcile it with the final stats, and check OPT's certificate (every \
+             certified packet's schedule, and the OPT stats and activations derived from \
+             it) from outside the certifier; exit non-zero on any violation.")
   in
   let live_t =
     Arg.(
@@ -443,8 +445,22 @@ let route_cmd =
           ~dropped:s.Routing.Engine.dropped ~delivered:s.Routing.Engine.delivered
           ~sends:s.Routing.Engine.sends ~failed_sends:s.Routing.Engine.failed_sends
           ~total_cost:s.Routing.Engine.total_cost ~remaining:s.Routing.Engine.remaining;
+        (* OPT's certificate, checked from outside the certifier. *)
+        let certified =
+          match
+            Routing.Certificate.check
+              ~interference:(b.Pipeline.conflict.Interference.Conflict.model, b.Pipeline.points)
+              ~graph:b.Pipeline.overlay ~cost:r.Pipeline.cost r.Pipeline.workload
+          with
+          | Ok { Routing.Certificate.packets; hops } ->
+              Printf.printf "certificate ok: %d packets, %d hops\n" packets hops;
+              true
+          | Error reason ->
+              Printf.printf "certificate violated: %s\n" reason;
+              false
+        in
         print_endline (String.trim (Obs.Invariants.report c));
-        if not (Obs.Invariants.ok c) then exit 1
+        if not (certified && Obs.Invariants.ok c) then exit 1
   in
   Cmd.v
     (Cmd.info "route" ~doc:"Run a balancing-routing scenario against a certified adversary.")

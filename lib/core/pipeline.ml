@@ -56,15 +56,20 @@ type result = {
   throughput_ratio : float;
   cost_ratio : float;
   params : Balancing.params;
+  workload : Workload.t;
+  cost : Cost.t;
 }
 
-let make_result opt stats params =
+let make_result (w : Workload.t) ~cost stats params =
+  let opt = w.Workload.opt in
   {
     opt;
     stats;
     throughput_ratio = Engine.throughput_ratio stats opt;
     cost_ratio = Engine.cost_ratio stats opt;
     params;
+    workload = w;
+    cost;
   }
 
 let default_flows b = max 4 (Graph.n b.overlay / 32)
@@ -92,7 +97,7 @@ let run_scenario1 ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows 
     Adhoc_obs.time obs "run/scenario1" (fun () ->
         Engine.run_mac_given ~cooldown ?obs ?pool ~pad:b.conflict ~graph:b.overlay ~cost ~params w)
   in
-  make_result w.Workload.opt stats params
+  make_result w ~cost stats params
 
 let run_scenario2 ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows ?max_flow_hops ?(kappa = 2.) ?obs ?pool ~rng b =
   let attempts = Option.value attempts ~default:horizon in
@@ -118,7 +123,7 @@ let run_scenario2 ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows 
         Engine.run_with_mac ~cooldown ?obs ?pool ~collisions:b.conflict ~graph:b.overlay
           ~cost ~params ~mac w)
   in
-  make_result w.Workload.opt stats params
+  make_result w ~cost stats params
 
 let run_honeycomb ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows ?max_flow_hops ?obs ?pool ~rng b =
   let attempts = Option.value attempts ~default:horizon in
@@ -148,4 +153,4 @@ let run_honeycomb ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows 
         Engine.run_with_mac ~cooldown ?obs ?pool ~collisions:b.conflict ~graph:b.overlay
           ~cost ~params ~mac:(Honeycomb.mac hc) w)
   in
-  make_result w.Workload.opt stats params
+  make_result w ~cost stats params

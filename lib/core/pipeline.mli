@@ -39,6 +39,10 @@ type result = {
   throughput_ratio : float;  (** delivered / OPT deliveries; 0. when OPT is empty *)
   cost_ratio : float;  (** avg cost per delivery / OPT's; nan when nothing was delivered *)
   params : Adhoc_routing.Balancing.params;
+  workload : Adhoc_routing.Workload.t;
+      (** the certified workload, schedule included: {!Adhoc_routing.Certificate.check}
+          verifies it against [overlay], [cost] and [conflict]'s model *)
+  cost : Adhoc_graph.Cost.t;  (** the edge cost it was certified and routed under *)
 }
 
 val run_scenario1 :

@@ -34,15 +34,27 @@ let build_brute model ~points g =
 let build ?pool model ~points g =
   let m = Graph.num_edges g in
   let reach e = Model.reach model ~points ~x:(Graph.edge_u g e) ~y:(Graph.edge_v g e) in
+  (* Each edge's reach², for the strict [dist² < reach²] tests. *)
+  let reach2 = Array.make m 0. in
   let cell = ref 0. in
   for e = 0 to m - 1 do
-    cell := Float.max !cell (reach e)
+    let r = reach e in
+    reach2.(e) <- r *. r;
+    cell := Float.max !cell r
   done;
   (* No reach above 0 (no edges, or only zero-length ones): every open
      guard disk is empty. *)
   if not (!cell > 0.) then { model; sets = Array.make m [||] }
   else begin
     let grid = Spatial_grid.build ~cell:!cell points in
+    (* Model.in_region's strict test for edge [x]'s disks: is node [w]
+       within [x]'s reach of the centre [c]?  Point.dist2's expression is
+       written out, and reach² read here, so that no float is boxed. *)
+    let within x (c : Point.t) w =
+      let p = points.(w) in
+      let dx = c.Point.x -. p.Point.x and dy = c.Point.y -. p.Point.y in
+      (dx *. dx) +. (dy *. dy) < reach2.(x)
+    in
     (* Phase 1, one pure body per edge e = (u,v).  out(e), the edges with
        an endpoint inside IR(e), is every edge incident to a node w with
        |cw| < r for a centre c ∈ {u, v}, r = Model.reach.  An edge
@@ -54,15 +66,8 @@ let build ?pool model ~points g =
     let reports e =
       let u = Graph.edge_u g e and v = Graph.edge_v g e in
       let r = reach e in
-      let r2 = r *. r in
       let pu = points.(u) and pv = points.(v) in
-      (* Model.in_region's strict test, with Point.dist2's expression
-         written out so that no float is boxed. *)
-      let inside (c : Point.t) w =
-        let p = points.(w) in
-        let dx = c.Point.x -. p.Point.x and dy = c.Point.y -. p.Point.y in
-        (dx *. dx) +. (dy *. dy) < r2
-      in
+      let inside c w = within e c w in
       let acc = ref [] in
       (* One visitor per edge; [w] and [from_v] name the witness node and
          its centre for the current call. *)
@@ -75,8 +80,14 @@ let build ?pool model ~points g =
             if !from_v then not (inside pu a) && not (inside pu b) && (w = a || not (inside pv a))
             else w = a || not (inside pu a)
           in
-          if first && (e < e' || not (Model.one_way model ~points ~src:(a, b) ~dst:(u, v))) then
-            acc := e' :: !acc
+          (* [not (Model.one_way ~src:e' ~dst:e)]: no endpoint of e lies
+             in IR(e'). *)
+          let pa = points.(a) and pb = points.(b) in
+          if
+            first
+            && (e < e'
+               || not (within e' pa u || within e' pb u || within e' pa v || within e' pb v))
+          then acc := e' :: !acc
         end
       in
       let scan c is_v =

@@ -9,7 +9,18 @@
     exactly those injections (and, for the MAC-given scenario, exactly the
     activations the schedules use).  By construction a best possible
     algorithm delivers every injected packet at the recorded cost, so
-    competitive ratios measured against {!opt_stats} are conservative. *)
+    competitive ratios measured against {!opt_stats} are conservative.
+    The schedules are kept ({!schedule}) so that [Certificate.check] can
+    verify that claim without trusting the generator.
+
+    Cost of certification: one Dijkstra per distinct source (cached), then
+    per attempted hop O(|I(e)|) to stamp the hop's edge and its conflict
+    row (interference-free workloads; O(1) otherwise) and, per slot tried,
+    one array read per edge already reserved in that slot.  Hop [i] of a
+    [len]-hop packet must land by [t0 + slack + i + 1], since every later
+    hop needs its own later slot: a search that misses that deadline stops
+    there, and the packet is rejected exactly when a search over its whole
+    window would fail, with the same slots otherwise. *)
 
 type opt_stats = {
   deliveries : int;  (** packets with certified schedules = OPT throughput *)
@@ -20,15 +31,42 @@ type opt_stats = {
   delta : int;  (** max number of activated edges sharing a node in one step *)
 }
 
+type schedule = {
+  slack : int;  (** the [config.slack] the schedule was certified under *)
+  interference_free : bool;  (** the [config.interference_free] likewise *)
+  src : int array;  (** per certified packet, in the order they were accepted *)
+  dst : int array;
+  t0 : int array;  (** the packet's injection step *)
+  first_hop : int array;
+      (** packet [p]'s hops are [first_hop.(p)] to [first_hop.(p + 1) - 1];
+          one entry per packet plus a final one, the hop count *)
+  hop_edge : int array;  (** per hop, in path order: the edge it crosses *)
+  hop_slot : int array;  (** the step in which it crosses it *)
+}
+(** The certificate behind {!opt_stats}: every certified packet with the
+    (edge, slot) hops of its schedule, in flat arrays sized to their final
+    length.  [Certificate.check] verifies it from outside, against the
+    graph, the cost and (interference-free workloads) the interference
+    model. *)
+
 type t = {
   horizon : int;
   injections : (int * int) list array;  (** per step: (src, dest), at end of step *)
   paths : (int * int * int list) list array;
       (** per step: (src, dest, certified edge path) — the schedule routes,
           for path-based routers and queueing disciplines *)
-  activations : int list array;  (** per step: active edge ids (scenario 1) *)
+  activations : int list array;
+      (** per step: active edge ids (scenario 1), ascending — exactly the
+          edges the schedule reserves in that step.  They are distinct by
+          construction (no slot is reserved for an edge twice), so no dedup
+          runs. *)
   opt : opt_stats;
+  schedule : schedule;
 }
+
+val no_schedule : schedule
+(** The empty schedule of a workload that certifies nothing: {!path_flows}
+    and hand-built workloads. *)
 
 type config = {
   horizon : int;

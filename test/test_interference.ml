@@ -134,7 +134,9 @@ let test_build_matches_brute_build_4k_eighth () =
   Alcotest.(check bool) "same rows" true (fast.Conflict.sets = (Conflict.build_brute m ~points g).Conflict.sets)
 
 (* The Set-based candidate search allocated 77.2M minor words here; the
-   per-edge scan with counting-pass assembly allocates about 16M. *)
+   per-edge scan with counting-pass assembly 16.3M while its keep test went
+   through Model.one_way (two tuples and a boxed float per kept
+   candidate), and about 5.9M with reach² precomputed per edge. *)
 let test_build_allocation () =
   let points, g = build_4k_instance 4096 in
   let module Gcstat = Adhoc_obs.Gcstat in
@@ -143,7 +145,7 @@ let test_build_allocation () =
   let after = Gcstat.read () in
   let words = (Gcstat.delta ~before ~after).Gcstat.minor_words in
   Alcotest.(check int) "pairs" 1409790 (Array.fold_left ( + ) 0 (Conflict.set_sizes c));
-  if words > 35e6 then Alcotest.failf "Conflict.build allocated %.0f minor words" words
+  if words > 10e6 then Alcotest.failf "Conflict.build allocated %.0f minor words" words
 
 let test_interference_number_zero () =
   let points = [| pt 0. 0.; pt 1. 0. |] in
