@@ -299,7 +299,6 @@ let e14 () =
 let e15 () =
   header "E15 (related work): adversarial-queueing disciplines on fixed paths";
   let module Q = Routing.Queueing in
-  let module W = Routing.Workload in
   let rng = Prng.create 4 in
   let points = Pointset.Generators.uniform rng 100 in
   let range = 1.5 *. Topo.Udg.critical_range points in
@@ -320,8 +319,7 @@ let e15 () =
   in
   List.iter
     (fun rate ->
-      let config = { W.horizon = 3000; attempts = 0; slack = 0; interference_free = false } in
-      let w = W.path_flows config ~rng:wl_rng ~graph ~cost ~num_flows:12 ~rate in
+      let w = Q.path_flows ~horizon:3000 ~rng:wl_rng ~graph ~cost ~num_flows:12 ~rate in
       List.iter
         (fun d ->
           let s = Q.run ~cooldown:3000 ~graph ~cost d w in

@@ -74,83 +74,61 @@ let make_result (w : Workload.t) ~cost stats params =
 
 let default_flows b = max 4 (Graph.n b.overlay / 32)
 
-let run_scenario1 ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows ?max_flow_hops ?(kappa = 2.) ?obs ?pool ~rng b =
+(* The scenarios' shared setup: certify [b]'s flows under [cost] (before
+   [run] draws a MAC from [rng]), derive (T, γ) from the certified OPT —
+   Theorem 3.1 for an interference-free workload, Theorem 3.3 otherwise —
+   and hand both to [run].  The optional arguments arrive unresolved. *)
+let certified_run ~epsilon ~attempts ~horizon ~cooldown ~flows ~max_flow_hops ~obs ~rng ~cost
+    ~interference_free b run =
   let attempts = Option.value attempts ~default:horizon in
   let cooldown = Option.value cooldown ~default:horizon in
-  let cost = Cost.energy ~kappa in
-  let config =
-    { Workload.horizon; attempts; slack = 12; interference_free = true }
-  in
+  let config = { Workload.horizon; attempts; slack = 12; interference_free } in
   let num_flows = Option.value flows ~default:(default_flows b) in
   let w =
     Adhoc_obs.time obs "workload/certify" (fun () ->
-        Workload.flows ~conflict:b.conflict ?max_hops:max_flow_hops config ~rng
-          ~graph:b.overlay ~cost ~num_flows)
+        Workload.flows ~conflict:b.conflict ?max_hops:max_flow_hops config ~rng ~graph:b.overlay
+          ~cost ~num_flows)
   in
+  let o = w.Workload.opt in
+  let opt_buffer = o.Workload.max_buffer and opt_avg_hops = o.Workload.avg_hops in
+  let opt_avg_cost = Float.max o.Workload.avg_cost 1e-9 in
   let params =
-    Balancing.Derive.theorem_3_1 ~opt_buffer:w.Workload.opt.Workload.max_buffer
-      ~opt_avg_hops:w.Workload.opt.Workload.avg_hops
-      ~opt_avg_cost:(Float.max w.Workload.opt.Workload.avg_cost 1e-9)
-      ~delta:w.Workload.opt.Workload.delta ~epsilon
+    if interference_free then
+      Balancing.Derive.theorem_3_1 ~opt_buffer ~opt_avg_hops ~opt_avg_cost ~delta:o.Workload.delta
+        ~epsilon
+    else Balancing.Derive.theorem_3_3 ~opt_buffer ~opt_avg_hops ~opt_avg_cost ~epsilon
   in
-  let stats =
-    Adhoc_obs.time obs "run/scenario1" (fun () ->
-        Engine.run_mac_given ~cooldown ?obs ?pool ~pad:b.conflict ~graph:b.overlay ~cost ~params w)
-  in
-  make_result w ~cost stats params
+  make_result w ~cost (run ~cooldown ~params w) params
 
-let run_scenario2 ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows ?max_flow_hops ?(kappa = 2.) ?obs ?pool ~rng b =
-  let attempts = Option.value attempts ~default:horizon in
-  let cooldown = Option.value cooldown ~default:horizon in
+let run_scenario1 ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows ?max_flow_hops
+    ?(kappa = 2.) ?obs ?pool ~rng b =
   let cost = Cost.energy ~kappa in
-  let config =
-    { Workload.horizon; attempts; slack = 12; interference_free = false }
-  in
-  let num_flows = Option.value flows ~default:(default_flows b) in
-  let w =
-    Adhoc_obs.time obs "workload/certify" (fun () ->
-        Workload.flows ?max_hops:max_flow_hops config ~rng ~graph:b.overlay ~cost ~num_flows)
-  in
-  let params =
-    Balancing.Derive.theorem_3_3 ~opt_buffer:w.Workload.opt.Workload.max_buffer
-      ~opt_avg_hops:w.Workload.opt.Workload.avg_hops
-      ~opt_avg_cost:(Float.max w.Workload.opt.Workload.avg_cost 1e-9)
-      ~epsilon
-  in
-  let mac = Mac.random_interference ~rng:(Prng.split rng) b.conflict in
-  let stats =
-    Adhoc_obs.time obs "run/scenario2" (fun () ->
-        Engine.run_with_mac ~cooldown ?obs ?pool ~collisions:b.conflict ~graph:b.overlay
-          ~cost ~params ~mac w)
-  in
-  make_result w ~cost stats params
+  certified_run ~epsilon ~attempts ~horizon ~cooldown ~flows ~max_flow_hops ~obs ~rng ~cost
+    ~interference_free:true b (fun ~cooldown ~params w ->
+      Adhoc_obs.time obs "run/scenario1" (fun () ->
+          Engine.run_mac_given ~cooldown ?obs ?pool ~pad:b.conflict ~graph:b.overlay ~cost ~params
+            w))
 
-let run_honeycomb ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows ?max_flow_hops ?obs ?pool ~rng b =
-  let attempts = Option.value attempts ~default:horizon in
-  let cooldown = Option.value cooldown ~default:horizon in
+let run_scenario2 ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows ?max_flow_hops
+    ?(kappa = 2.) ?obs ?pool ~rng b =
+  let cost = Cost.energy ~kappa in
+  certified_run ~epsilon ~attempts ~horizon ~cooldown ~flows ~max_flow_hops ~obs ~rng ~cost
+    ~interference_free:false b (fun ~cooldown ~params w ->
+      let mac = Mac.random_interference ~rng:(Prng.split rng) b.conflict in
+      Adhoc_obs.time obs "run/scenario2" (fun () ->
+          Engine.run_with_mac ~cooldown ?obs ?pool ~collisions:b.conflict ~graph:b.overlay ~cost
+            ~params ~mac w))
+
+let run_honeycomb ?(epsilon = 0.5) ?attempts ?(horizon = 2000) ?cooldown ?flows ?max_flow_hops
+    ?obs ?pool ~rng b =
   (* Fixed transmission strength: every hop costs the same. *)
   let cost = Cost.hops in
-  let config =
-    { Workload.horizon; attempts; slack = 12; interference_free = false }
-  in
-  let num_flows = Option.value flows ~default:(default_flows b) in
-  let w =
-    Adhoc_obs.time obs "workload/certify" (fun () ->
-        Workload.flows ?max_hops:max_flow_hops config ~rng ~graph:b.overlay ~cost ~num_flows)
-  in
-  let params =
-    Balancing.Derive.theorem_3_3 ~opt_buffer:w.Workload.opt.Workload.max_buffer
-      ~opt_avg_hops:w.Workload.opt.Workload.avg_hops
-      ~opt_avg_cost:(Float.max w.Workload.opt.Workload.avg_cost 1e-9)
-      ~epsilon
-  in
-  let hc =
-    Honeycomb.create ~delta:b.delta ~range:b.range ~threshold:params.Balancing.threshold
-      ~rng:(Prng.split rng) b.points
-  in
-  let stats =
-    Adhoc_obs.time obs "run/honeycomb" (fun () ->
-        Engine.run_with_mac ~cooldown ?obs ?pool ~collisions:b.conflict ~graph:b.overlay
-          ~cost ~params ~mac:(Honeycomb.mac hc) w)
-  in
-  make_result w ~cost stats params
+  certified_run ~epsilon ~attempts ~horizon ~cooldown ~flows ~max_flow_hops ~obs ~rng ~cost
+    ~interference_free:false b (fun ~cooldown ~params w ->
+      let hc =
+        Honeycomb.create ~delta:b.delta ~range:b.range ~threshold:params.Balancing.threshold
+          ~rng:(Prng.split rng) b.points
+      in
+      Adhoc_obs.time obs "run/honeycomb" (fun () ->
+          Engine.run_with_mac ~cooldown ?obs ?pool ~collisions:b.conflict ~graph:b.overlay ~cost
+            ~params ~mac:(Honeycomb.mac hc) w))

@@ -18,7 +18,3 @@ let angular_width ~theta i =
   let k = count theta in
   if i < 0 || i >= k then invalid_arg "Sector.angular_width: bad index";
   if i = k - 1 then two_pi -. (theta *. float_of_int (k - 1)) else theta
-
-let central_angle ~theta i =
-  let lo = theta *. float_of_int i in
-  lo +. (angular_width ~theta i /. 2.)

@@ -1,5 +1,6 @@
 (** Line-segment predicates: orientation, proper intersection, distance.
-    Used by the planarity checker and the face-routing validator. *)
+    The convex hull turns on {!orientation}; the tests check embeddings
+    for crossings with {!properly_intersects}. *)
 
 val orientation : Point.t -> Point.t -> Point.t -> int
 (** Sign of the cross product [(b-a) × (c-a)]: [1] counter-clockwise,

@@ -12,10 +12,6 @@ let compare_pair (a, b) (c, d) =
   let x = Int.compare a c in
   if x <> 0 then x else Int.compare b d
 
-let compare_path (a, b, l) (c, d, l') =
-  let x = compare_pair (a, b) (c, d) in
-  if x <> 0 then x else List.compare Int.compare l l'
-
 (* Largest number of stays overlapping in one (node, dest) buffer.  A
    stay (node, dest, from, until) occupies the buffer from step [from] up
    to, not including, step [until]: events sort by key, then step, and a
@@ -67,13 +63,12 @@ let check_exn ~interference:(model, points) ~graph ~cost (w : Workload.t) =
     fail "schedule: hop offsets do not span the hop arrays";
   if
     Array.length w.Workload.injections <> horizon
-    || Array.length w.Workload.paths <> horizon
     || Array.length w.Workload.activations <> horizon
   then fail "per-step arrays are not horizon long";
   (* Each packet: a walk from src to dst in strictly increasing slots
      inside its window.  Collects what the per-slot and opt checks need. *)
   let at_slot = Array.make horizon [] in
-  let injected = Array.make horizon [] and routed = Array.make horizon [] in
+  let injected = Array.make horizon [] in
   let stays = ref [] and total_cost = ref 0. in
   for p = 0 to packets - 1 do
     let src = s.Workload.src.(p) and dst = s.Workload.dst.(p) and t0 = s.Workload.t0.(p) in
@@ -107,9 +102,7 @@ let check_exn ~interference:(model, points) ~graph ~cost (w : Workload.t) =
       arrive := slot
     done;
     if !node <> dst then fail "packet %d: walk ends at node %d, not at %d" p !node dst;
-    injected.(t0) <- (src, dst) :: injected.(t0);
-    routed.(t0) <-
-      (src, dst, Array.to_list (Array.sub s.Workload.hop_edge first len)) :: routed.(t0)
+    injected.(t0) <- (src, dst) :: injected.(t0)
   done;
   (* Each slot: no edge twice and no interfering pair. *)
   let at_slot = Array.map (List.sort Int.compare) at_slot in
@@ -136,8 +129,8 @@ let check_exn ~interference:(model, points) ~graph ~cost (w : Workload.t) =
         pairs edges
       end)
     at_slot;
-  (* Each step: the activations, injections and paths the engines read
-     are the schedule's. *)
+  (* Each step: the activations and injections the engines read are the
+     schedule's. *)
   let delta = ref 1 in
   for t = 0 to horizon - 1 do
     if not (List.equal Int.equal at_slot.(t) w.Workload.activations.(t)) then
@@ -149,13 +142,6 @@ let check_exn ~interference:(model, points) ~graph ~cost (w : Workload.t) =
            (List.sort compare_pair injected.(t))
            (List.sort compare_pair w.Workload.injections.(t)))
     then fail "step %d: injections are not the scheduled packets" t;
-    if
-      not
-        (List.equal
-           (fun a b -> compare_path a b = 0)
-           (List.sort compare_path routed.(t))
-           (List.sort compare_path w.Workload.paths.(t)))
-    then fail "step %d: paths are not the scheduled packets' routes" t;
     delta := max !delta (max_shared graph at_slot.(t))
   done;
   let o = w.Workload.opt in

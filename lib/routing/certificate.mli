@@ -23,7 +23,7 @@ val check :
       below the horizon;
     - no slot holds an edge twice, and in an interference-free schedule no
       two of a slot's edges interfere;
-    - [injections] and [paths] hold exactly the scheduled packets at their
+    - [injections] holds exactly the scheduled (src, dst) pairs at their
       injection steps, and [activations] exactly each slot's edges,
       ascending;
     - [opt] matches the schedule: deliveries, [total_cost] (bit for bit,

@@ -1,4 +1,6 @@
 module Graph = Adhoc_graph.Graph
+module Dijkstra = Adhoc_graph.Dijkstra
+module Prng = Adhoc_util.Prng
 
 type discipline =
   | Fifo
@@ -31,8 +33,35 @@ type packet = {
   seq : int;  (** tie-breaker: injection sequence number *)
 }
 
-let run ?(cooldown = 0) ~graph ~cost discipline (w : Workload.t) =
-  let horizon = w.Workload.horizon in
+let path_flows ~horizon ~rng ~graph ~cost ~num_flows ~rate =
+  if rate <= 0. || rate > 1. then invalid_arg "Queueing.path_flows: rate must be in (0,1]";
+  if num_flows < 1 then invalid_arg "Queueing.path_flows: need at least one flow";
+  let n = Graph.n graph in
+  if n < 2 then invalid_arg "Queueing.path_flows: need at least two nodes";
+  (* Fixed shortest path per flow. *)
+  let flows =
+    Array.init num_flows (fun _ ->
+        let rec draw attempts =
+          let src = Prng.int rng n in
+          let dst = Prng.int rng n in
+          if src = dst && attempts > 0 then draw (attempts - 1)
+          else begin
+            let sp = Dijkstra.run graph ~cost ~src in
+            match Dijkstra.path_edges sp dst with
+            | Some path when path <> [] -> (src, dst, path)
+            | _ -> if attempts > 0 then draw (attempts - 1) else (src, dst, [])
+          end
+        in
+        draw 50)
+  in
+  Array.init horizon (fun _ ->
+      Array.fold_left
+        (fun step ((_, _, path) as flow) ->
+          if path <> [] && Prng.uniform rng < rate then flow :: step else step)
+        [] flows)
+
+let run ?(cooldown = 0) ~graph ~cost discipline paths =
+  let horizon = Array.length paths in
   let steps = horizon + cooldown in
   let edge_cost = Array.init (Graph.num_edges graph) (fun e -> cost (Graph.length graph e)) in
   (* Queue per (node, next-edge): packets waiting at [node] to cross that
@@ -115,7 +144,7 @@ let run ?(cooldown = 0) ~graph ~cost discipline (w : Workload.t) =
                 { injected_at = t; at = src; remaining = path; arrived_at_queue = t; seq = !seq }
               in
               enqueue t p)
-        w.Workload.paths.(t)
+        paths.(t)
   done;
   {
     steps;

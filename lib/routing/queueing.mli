@@ -3,9 +3,8 @@
 
     In the adversarial queueing model the adversary reveals a *path* for
     every injected packet; the algorithm only chooses, per edge and step,
-    which waiting packet crosses.  Our certified workloads carry exactly
-    those paths, so the classical disciplines run on the same inputs as the
-    (T, γ)-balancing algorithm — experiment E15 compares them. *)
+    which waiting packet crosses.  Experiment E15 compares the disciplines
+    on fixed shortest-path flows ({!path_flows}). *)
 
 type discipline =
   | Fifo  (** first-in first-out by arrival time at the queue *)
@@ -25,13 +24,29 @@ type stats = {
   avg_latency : float;  (** mean injection→delivery time ([0.] if none) *)
 }
 
+val path_flows :
+  horizon:int ->
+  rng:Adhoc_util.Prng.t ->
+  graph:Adhoc_graph.Graph.t ->
+  cost:Adhoc_graph.Cost.t ->
+  num_flows:int ->
+  rate:float ->
+  (int * int * int list) list array
+(** E15's traffic: [num_flows] fixed shortest paths under [cost], each
+    injecting a packet independently with probability [rate] per step.
+    Per step of the [horizon], the (src, dst, edge path) of each injected
+    packet.  No schedule backs it: it can (deliberately) exceed network
+    capacity. *)
+
 val run :
   ?cooldown:int ->
   graph:Adhoc_graph.Graph.t ->
   cost:Adhoc_graph.Cost.t ->
   discipline ->
-  Workload.t ->
+  (int * int * int list) list array ->
   stats
-(** Packets follow their certified paths; per step every edge moves at
-    most one packet per direction, chosen by the discipline — every edge
-    is usable every step, the classical adversarial-queueing assumption. *)
+(** [run d paths] injects [paths.(t)] at the end of step [t], for as many
+    steps as [paths] has, and runs [cooldown] more.  Packets follow their
+    paths; per step every edge moves at most one packet per direction,
+    chosen by the discipline — every edge is usable every step, the
+    classical adversarial-queueing assumption. *)

@@ -26,7 +26,6 @@ type schedule = {
 type t = {
   horizon : int;
   injections : (int * int) list array;
-  paths : (int * int * int list) list array;
   activations : int list array;
   opt : opt_stats;
   schedule : schedule;
@@ -193,24 +192,27 @@ let delta_of graph ~n active =
     active;
   !delta
 
-let generate_with ~pick_pair ?pick_time ?conflict config ~rng ~graph ~cost =
-  if config.horizon <= 0 then invalid_arg "Workload.generate: horizon must be positive";
+let generate_with ~pick_pair ?conflict config ~rng ~graph ~cost =
+  if config.horizon <= 0 then invalid_arg "Workload: horizon must be positive";
   if config.interference_free && conflict = None then
-    invalid_arg "Workload.generate: interference_free requires a conflict structure";
+    invalid_arg "Workload: interference_free requires a conflict structure";
   let n = Graph.n graph in
-  if n < 2 then invalid_arg "Workload.generate: need at least two nodes";
+  if n < 2 then invalid_arg "Workload: need at least two nodes";
   let horizon = config.horizon and slack = config.slack in
   let edges = Graph.num_edges graph in
   let injections = Array.make horizon [] in
-  let paths = Array.make horizon [] in
-  let sssp = Hashtbl.create 32 in
-  let dijkstra src =
-    match Hashtbl.find_opt sssp src with
-    | Some r -> r
+  (* One shortest path per distinct pair, from a Dijkstra stopped once the
+     destination is settled: a settled node's predecessor never changes,
+     so it is the path a full run from the source gives. *)
+  let routes = Hashtbl.create 32 in
+  let route src dst =
+    let key = (src * n) + dst in
+    match Hashtbl.find_opt routes key with
+    | Some path -> path
     | None ->
-        let r = Dijkstra.run graph ~cost ~src in
-        Hashtbl.add sssp src r;
-        r
+        let path = Dijkstra.path_edges (Dijkstra.run_to graph ~cost ~src ~dst) dst in
+        Hashtbl.add routes key path;
+        path
   in
   (* The certificate's columns.  They hold the reservations too: the hops
      reserved in slot s form a chain from [last.(s)] back through
@@ -247,33 +249,17 @@ let generate_with ~pick_pair ?pick_time ?conflict config ~rng ~graph ~cost =
   in
   let free s = clear !token last.(s) in
   let slots = Array.make n 0 in
-  (* A pair's shortest path comes from its source's cached Dijkstra run,
-     so it is the same on every attempt: the accepted packets of one pair
-     share one (src, dst, path) entry in [paths], and their injections the
-     pair that [pick_pair] returned, rather than a copy per packet. *)
-  let routes = Hashtbl.create 32 in
   let total_cost = ref 0. in
   for _ = 1 to config.attempts do
     let pair = pick_pair rng in
     let src, dst = pair in
-    if src <> dst then begin
-      let key = (src * n) + dst in
-      let route =
-        match Hashtbl.find_opt routes key with
-        | Some _ as r -> r
-        | None ->
-            Option.map (fun path -> (src, dst, path)) (Dijkstra.path_edges (dijkstra src) dst)
-      in
-      match route with
+    if src <> dst then
+      match route src dst with
       | None -> ()
-      | Some ((_, _, path) as route) ->
+      | Some path ->
           let window = List.length path + slack in
           if window < horizon then begin
-            let t0 =
-              match pick_time with
-              | None -> Prng.int rng (horizon - window)
-              | Some f -> min (f rng) (horizon - window - 1)
-            in
+            let t0 = Prng.int rng (horizon - window) in
             (* Greedy earliest-slot reservation.  Hop i must land by
                t0 + slack + i + 1, since each later hop needs its own later
                slot and the last one lands by t0 + window: a packet that
@@ -308,12 +294,9 @@ let generate_with ~pick_pair ?pick_time ?conflict config ~rng ~graph ~cost =
                   total_cost := !total_cost +. cost (Graph.length graph e))
                 path;
               Column.push first_hop hop_edge.Column.len;
-              Hashtbl.replace routes key route;
-              injections.(t0) <- pair :: injections.(t0);
-              paths.(t0) <- route :: paths.(t0)
+              injections.(t0) <- pair :: injections.(t0)
             end
           end
-    end
   done;
   let schedule =
     {
@@ -332,7 +315,6 @@ let generate_with ~pick_pair ?pick_time ?conflict config ~rng ~graph ~cost =
   {
     horizon;
     injections;
-    paths;
     activations;
     opt =
       {
@@ -345,15 +327,6 @@ let generate_with ~pick_pair ?pick_time ?conflict config ~rng ~graph ~cost =
       };
     schedule;
   }
-
-let generate ?conflict config ~rng ~graph ~cost =
-  let n = Graph.n graph in
-  let pick_pair rng =
-    let src = Prng.int rng n in
-    let dst = Prng.int rng n in
-    (src, dst)
-  in
-  generate_with ~pick_pair ?conflict config ~rng ~graph ~cost
 
 (* [within_hops graph k src dst] answers "is [dst] within [k] hops of
    [src]?" by a breadth-first search that stops at depth [k] or on
@@ -429,79 +402,3 @@ let single_destination ?conflict ?sources config ~rng ~graph ~cost ~sink =
         fun rng -> (srcs.(Prng.int rng (Array.length srcs)), sink)
   in
   generate_with ~pick_pair ?conflict config ~rng ~graph ~cost
-
-let bursty ?conflict config ~rng ~graph ~cost ~num_flows ~period ~burst_width =
-  if period <= 0 || burst_width <= 0 || burst_width > period then
-    invalid_arg "Workload.bursty: need 0 < burst_width <= period";
-  let n = Graph.n graph in
-  let pairs =
-    Array.init num_flows (fun _ ->
-        let src = Prng.int rng n in
-        let rec pick () =
-          let dst = Prng.int rng n in
-          if dst = src && n > 1 then pick () else dst
-        in
-        (src, pick ()))
-  in
-  let pick_pair rng = pairs.(Prng.int rng num_flows) in
-  (* Injection times land only inside the burst window of each period. *)
-  let pick_time rng =
-    let periods = max 1 (config.horizon / period) in
-    let p = Prng.int rng periods in
-    (p * period) + Prng.int rng burst_width
-  in
-  generate_with ~pick_pair ~pick_time ?conflict config ~rng ~graph ~cost
-
-let path_flows config ~rng ~graph ~cost ~num_flows ~rate =
-  if rate <= 0. || rate > 1. then invalid_arg "Workload.path_flows: rate must be in (0,1]";
-  if num_flows < 1 then invalid_arg "Workload.path_flows: need at least one flow";
-  let n = Graph.n graph in
-  if n < 2 then invalid_arg "Workload.path_flows: need at least two nodes";
-  let horizon = config.horizon in
-  (* Fixed shortest path per flow. *)
-  let flows =
-    Array.init num_flows (fun _ ->
-        let rec draw attempts =
-          let src = Prng.int rng n in
-          let dst = Prng.int rng n in
-          if src = dst && attempts > 0 then draw (attempts - 1)
-          else begin
-            let sp = Dijkstra.run graph ~cost ~src in
-            match Dijkstra.path_edges sp dst with
-            | Some path when path <> [] -> (src, dst, path)
-            | _ -> if attempts > 0 then draw (attempts - 1) else (src, dst, [])
-          end
-        in
-        draw 50)
-  in
-  let injections = Array.make horizon [] in
-  let paths = Array.make horizon [] in
-  let injected = ref 0 in
-  for t = 0 to horizon - 1 do
-    Array.iter
-      (fun (src, dst, path) ->
-        if path <> [] && Prng.uniform rng < rate then begin
-          injections.(t) <- (src, dst) :: injections.(t);
-          paths.(t) <- (src, dst, path) :: paths.(t);
-          incr injected
-        end)
-      flows
-  done;
-  {
-    horizon;
-    injections;
-    paths;
-    activations = Array.make horizon [];
-    (* Not a certified workload: the opt block only records the injection
-       count; competitive ratios are meaningless here. *)
-    opt =
-      {
-        deliveries = !injected;
-        total_cost = 0.;
-        avg_cost = 0.;
-        avg_hops = 0.;
-        max_buffer = 1;
-        delta = 1;
-      };
-    schedule = no_schedule;
-  }

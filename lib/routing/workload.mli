@@ -13,10 +13,11 @@
     The schedules are kept ({!schedule}) so that [Certificate.check] can
     verify that claim without trusting the generator.
 
-    Cost of certification: one Dijkstra per distinct source (cached), then
-    per attempted hop O(|I(e)|) to stamp the hop's edge and its conflict
-    row (interference-free workloads; O(1) otherwise) and, per slot tried,
-    one array read per edge already reserved in that slot.  Hop [i] of a
+    Cost of certification: one Dijkstra per distinct (source, destination)
+    pair, stopped once the destination is settled, of which only the path
+    is kept; then per attempted hop O(|I(e)|) to stamp the hop's edge and
+    its conflict row (interference-free workloads; O(1) otherwise) and,
+    per slot tried, one array read per edge already reserved in that slot.  Hop [i] of a
     [len]-hop packet must land by [t0 + slack + i + 1], since every later
     hop needs its own later slot: a search that misses that deadline stops
     there, and the packet is rejected exactly when a search over its whole
@@ -52,9 +53,6 @@ type schedule = {
 type t = {
   horizon : int;
   injections : (int * int) list array;  (** per step: (src, dest), at end of step *)
-  paths : (int * int * int list) list array;
-      (** per step: (src, dest, certified edge path) — the schedule routes,
-          for path-based routers and queueing disciplines *)
   activations : int list array;
       (** per step: active edge ids (scenario 1), ascending — exactly the
           edges the schedule reserves in that step.  They are distinct by
@@ -65,8 +63,8 @@ type t = {
 }
 
 val no_schedule : schedule
-(** The empty schedule of a workload that certifies nothing: {!path_flows}
-    and hand-built workloads. *)
+(** The empty schedule of a workload that certifies nothing, such as a
+    hand-built one. *)
 
 type config = {
   horizon : int;
@@ -76,18 +74,6 @@ type config = {
       (** enforce that each step's reserved edges are pairwise
           non-interfering (Scenario 1 semantics); requires [conflict] *)
 }
-
-val generate :
-  ?conflict:Adhoc_interference.Conflict.t ->
-  config ->
-  rng:Adhoc_util.Prng.t ->
-  graph:Adhoc_graph.Graph.t ->
-  cost:Adhoc_graph.Cost.t ->
-  t
-(** Random source/destination pairs, shortest paths under [cost], greedy
-    earliest-slot reservation.  Attempts whose schedule cannot be packed
-    within their window are discarded (not injected), keeping the workload
-    certified. *)
 
 val flows :
   ?conflict:Adhoc_interference.Conflict.t ->
@@ -118,35 +104,6 @@ val single_destination :
   cost:Adhoc_graph.Cost.t ->
   sink:int ->
   t
-(** Same generator with all destinations forced to [sink] — the
-    many-to-one (data-collection) pattern.  [sources] restricts the origin
+(** Random sources, all sent to [sink] — the many-to-one
+    (data-collection) pattern.  [sources] restricts the origin
     nodes (default: all nodes). *)
-
-val bursty :
-  ?conflict:Adhoc_interference.Conflict.t ->
-  config ->
-  rng:Adhoc_util.Prng.t ->
-  graph:Adhoc_graph.Graph.t ->
-  cost:Adhoc_graph.Cost.t ->
-  num_flows:int ->
-  period:int ->
-  burst_width:int ->
-  t
-(** Bursty adversary: flow traffic whose injection times fall only inside
-    the first [burst_width] steps of each [period]-step window — the
-    windowed injection pattern of adversarial queueing theory.  Still
-    certified: every injected packet has a reserved schedule. *)
-
-val path_flows :
-  config ->
-  rng:Adhoc_util.Prng.t ->
-  graph:Adhoc_graph.Graph.t ->
-  cost:Adhoc_graph.Cost.t ->
-  num_flows:int ->
-  rate:float ->
-  t
-(** UNcertified path workload for the queueing-discipline experiments:
-    [num_flows] fixed shortest paths, each injecting a packet independently
-    with probability [rate] per step.  Unlike the certified generators this
-    can (deliberately) exceed network capacity; [opt.deliveries] records the
-    injection count, and competitive ratios against it are meaningless. *)

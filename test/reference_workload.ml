@@ -1,6 +1,7 @@
 (* The list-based certifier that Workload.generate_with replaced, kept as
-   the oracle for the flat one: the same draws, the same greedy
-   earliest-slot search over the whole window, reservations as per-step
+   the oracle for the flat one: the same draws, a full Dijkstra run per
+   source (where the flat one stops at each pair's destination), the same
+   greedy earliest-slot search over the whole window, reservations as per-step
    lists, buffer stays as (time, ±1) tuples in a (node, dest)-keyed table
    and activations through List.sort_uniq.  It records the schedule of
    each accepted packet too, so Certificate.check can run on it and the
@@ -12,16 +13,15 @@ module Conflict = Adhoc_interference.Conflict
 module Prng = Adhoc_util.Prng
 module Workload = Adhoc_routing.Workload
 
-let generate_with ~pick_pair ?pick_time ?conflict (config : Workload.config) ~rng ~graph ~cost =
-  if config.horizon <= 0 then invalid_arg "Workload.generate: horizon must be positive";
+let generate_with ~pick_pair ?conflict (config : Workload.config) ~rng ~graph ~cost =
+  if config.horizon <= 0 then invalid_arg "Workload: horizon must be positive";
   if config.interference_free && conflict = None then
-    invalid_arg "Workload.generate: interference_free requires a conflict structure";
+    invalid_arg "Workload: interference_free requires a conflict structure";
   let n = Graph.n graph in
-  if n < 2 then invalid_arg "Workload.generate: need at least two nodes";
+  if n < 2 then invalid_arg "Workload: need at least two nodes";
   let horizon = config.horizon in
   let reserved_at = Array.make horizon [] in
   let injections = Array.make horizon [] in
-  let paths = Array.make horizon [] in
   let sssp = Hashtbl.create 32 in
   let dijkstra src =
     match Hashtbl.find_opt sssp src with
@@ -68,11 +68,7 @@ let generate_with ~pick_pair ?pick_time ?conflict (config : Workload.config) ~rn
           let len = List.length path_edges in
           let window = len + config.slack in
           if window < horizon then begin
-            let t0 =
-              match pick_time with
-              | None -> Prng.int rng (horizon - window)
-              | Some f -> min (f rng) (horizon - window - 1)
-            in
+            let t0 = Prng.int rng (horizon - window) in
             let rec reserve acc cur = function
               | [] -> Some (List.rev acc)
               | e :: rest ->
@@ -90,7 +86,6 @@ let generate_with ~pick_pair ?pick_time ?conflict (config : Workload.config) ~rn
             | Some slots ->
                 List.iter (fun (e, s) -> reserved_at.(s) <- e :: reserved_at.(s)) slots;
                 injections.(t0) <- (src, dst) :: injections.(t0);
-                paths.(t0) <- (src, dst, path_edges) :: paths.(t0);
                 accepted := (src, dst, t0, slots) :: !accepted;
                 incr deliveries;
                 total_hops := !total_hops + len;
@@ -144,7 +139,6 @@ let generate_with ~pick_pair ?pick_time ?conflict (config : Workload.config) ~rn
   {
     Workload.horizon;
     injections;
-    paths;
     activations = Array.map (List.sort_uniq Int.compare) reserved_at;
     opt =
       {
@@ -170,39 +164,20 @@ let generate_with ~pick_pair ?pick_time ?conflict (config : Workload.config) ~rn
 
 (* The public generators' draws, without Workload.flows's hop limit. *)
 
-let generate ?conflict config ~rng ~graph ~cost =
-  let n = Graph.n graph in
-  let pick_pair rng =
-    let src = Prng.int rng n in
-    let dst = Prng.int rng n in
-    (src, dst)
-  in
-  generate_with ~pick_pair ?conflict config ~rng ~graph ~cost
-
-let flow_pairs rng n num_flows =
-  Array.init num_flows (fun _ ->
-      let src = Prng.int rng n in
-      let rec pick () =
-        let dst = Prng.int rng n in
-        if dst = src && n > 1 then pick () else dst
-      in
-      (src, pick ()))
-
 let flows ?conflict config ~rng ~graph ~cost ~num_flows =
-  let pairs = flow_pairs rng (Graph.n graph) num_flows in
+  let n = Graph.n graph in
+  let pairs =
+    Array.init num_flows (fun _ ->
+        let src = Prng.int rng n in
+        let rec pick () =
+          let dst = Prng.int rng n in
+          if dst = src && n > 1 then pick () else dst
+        in
+        (src, pick ()))
+  in
   let pick_pair rng = pairs.(Prng.int rng num_flows) in
   generate_with ~pick_pair ?conflict config ~rng ~graph ~cost
 
 let single_destination ?conflict config ~rng ~graph ~cost ~sink =
   let n = Graph.n graph in
   generate_with ~pick_pair:(fun rng -> (Prng.int rng n, sink)) ?conflict config ~rng ~graph ~cost
-
-let bursty ?conflict (config : Workload.config) ~rng ~graph ~cost ~num_flows ~period ~burst_width =
-  let pairs = flow_pairs rng (Graph.n graph) num_flows in
-  let pick_pair rng = pairs.(Prng.int rng num_flows) in
-  let pick_time rng =
-    let periods = max 1 (config.horizon / period) in
-    let p = Prng.int rng periods in
-    (p * period) + Prng.int rng burst_width
-  in
-  generate_with ~pick_pair ~pick_time ?conflict config ~rng ~graph ~cost

@@ -99,10 +99,6 @@ let test_sector_widths_sum () =
       check_close ~eps:1e-9 "widths sum to 2pi" (2. *. Float.pi) !sum)
     [ Float.pi /. 3.; 1.; 0.7; Float.pi /. 60. ]
 
-let test_sector_central_angle () =
-  let theta = Float.pi /. 2. in
-  check_close "sector 0 bisector" (Float.pi /. 4.) (Sector.central_angle ~theta 0)
-
 let test_sector_same () =
   let theta = Float.pi /. 3. in
   Alcotest.(check bool) "same" true
@@ -420,7 +416,6 @@ let () =
           test_sector_index_in_range;
           test_sector_index_matches_angle;
           case "widths sum" test_sector_widths_sum;
-          case "central angle" test_sector_central_angle;
           case "same" test_sector_same;
         ] );
       ( "circle",

@@ -135,8 +135,6 @@ let theta = Float.pi /. 3.
 let graph_kernels =
   [
     ("yao", fun pool points -> Topo.Yao.graph ?pool ~theta ~range:(range_of points) points);
-    ( "theta-graph",
-      fun pool points -> Topo.Theta_graph.build ?pool ~theta ~range:(range_of points) points );
     ( "theta-alg overlay",
       fun pool points ->
         Topo.Theta_alg.overlay (Topo.Theta_alg.build ?pool ~theta ~range:(range_of points) points)
@@ -148,8 +146,6 @@ let graph_kernels =
     ("gabriel", fun pool points -> Topo.Gabriel.build ?pool points);
     ("rng", fun pool points -> Topo.Rng_graph.build ?pool points);
     ("knn", fun pool points -> Topo.Knn.build ?pool ~k:3 points);
-    ("beta-skeleton lune", fun pool points -> Topo.Beta_skeleton.build ?pool ~beta:1.7 points);
-    ("beta-skeleton lens", fun pool points -> Topo.Beta_skeleton.build ?pool ~beta:0.8 points);
     ("cbtc sym", fun pool points -> (Topo.Cbtc.build ?pool ~alpha:(2. *. Float.pi /. 3.) ~range:(range_of points) points).Topo.Cbtc.graph);
     ("cbtc asym", fun pool points -> (Topo.Cbtc.build ?pool ~alpha:(2. *. Float.pi /. 3.) ~range:(range_of points) points).Topo.Cbtc.asymmetric);
   ]
@@ -248,15 +244,6 @@ let test_conflict_invariant =
 (* ------------------------------------------------------------------ *)
 (* Grid paths vs brute oracles                                         *)
 
-let test_beta_vs_brute =
-  qtest "beta-skeleton grid = brute oracle" ~count:40 seed_gen (fun seed ->
-      let points = points_of_seed seed in
-      List.for_all
-        (fun beta ->
-          digest (Topo.Beta_skeleton.build ~beta points)
-          = digest (Topo.Beta_skeleton.build_brute ~beta points))
-        [ 0.8; 1.0; 1.7; 2.0 ])
-
 let test_knn_vs_brute =
   qtest "knn grid = brute oracle" ~count:40 seed_gen (fun seed ->
       let points = points_of_seed seed in
@@ -319,5 +306,5 @@ let () =
             test_conflict_invariant;
           ] );
       ( "grid-vs-brute",
-        [ test_beta_vs_brute; test_knn_vs_brute; test_cbtc_vs_brute ] );
+        [ test_knn_vs_brute; test_cbtc_vs_brute ] );
     ]

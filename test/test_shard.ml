@@ -106,7 +106,6 @@ let test_constructions_jobs_invariant_tiled () =
     [
       digest (Udg.build ?pool ~range points);
       digest (Yao.graph ?pool ~theta ~range points);
-      digest (Theta_graph.build ?pool ~theta ~range points);
       digest (Theta_alg.overlay (Theta_alg.build ?pool ~theta ~range points));
       digest (fst (Theta_protocol.run ?pool ~theta ~range points));
     ]

@@ -4,6 +4,7 @@ module Cost = Adhoc_graph.Cost
 module Components = Adhoc_graph.Components
 module Stretch = Adhoc_graph.Stretch
 module Sector = Adhoc_geom.Sector
+module Segment = Adhoc_geom.Segment
 open Helpers
 
 let theta_default = Float.pi /. 6.
@@ -522,53 +523,6 @@ let test_knn_min_connecting =
           Components.is_connected (Knn.build ~k points)
           && (k = 1 || not (Components.is_connected (Knn.build ~k:(k - 1) points))))
 
-let test_beta_one_is_gabriel =
-  qtest "beta-skeleton(1) = Gabriel graph" ~count:40 seed_gen (fun seed ->
-      let points = points_of_seed ~min_n:4 ~max_n:25 seed in
-      edge_set (Beta_skeleton.build ~beta:1. points) = edge_set (Gabriel.build points))
-
-let test_beta_two_is_rng =
-  qtest "beta-skeleton(2) = relative neighborhood graph" ~count:40 seed_gen (fun seed ->
-      let points = points_of_seed ~min_n:4 ~max_n:25 seed in
-      edge_set (Beta_skeleton.build ~beta:2. points) = edge_set (Rng_graph.build points))
-
-let test_beta_monotone =
-  qtest "beta-skeletons shrink as beta grows" ~count:30 seed_gen (fun seed ->
-      let points = points_of_seed ~min_n:4 ~max_n:20 seed in
-      let g05 = Beta_skeleton.build ~beta:0.8 points in
-      let g1 = Beta_skeleton.build ~beta:1. points in
-      let g15 = Beta_skeleton.build ~beta:1.5 points in
-      let g2 = Beta_skeleton.build ~beta:2. points in
-      Graph.is_subgraph g2 g15 && Graph.is_subgraph g15 g1 && Graph.is_subgraph g1 g05)
-
-let test_theta_graph_spanner =
-  qtest "theta-graph connected, bounded out-selection" ~count:40 seed_gen (fun seed ->
-      let points, range = instance seed in
-      let g = Theta_graph.build ~theta:theta_default ~range points in
-      Components.is_connected g
-      && Graph.num_edges g
-         <= Array.length points * Adhoc_geom.Sector.count theta_default)
-
-let test_power_assignment () =
-  let points = [| Point.make 0. 0.; Point.make 1. 0.; Point.make 3. 0. |] in
-  let g = Graph.geometric points [ (0, 1); (1, 2) ] in
-  let p = Power.assign ~kappa:2. g in
-  check_close "node 0" 1. p.Power.per_node.(0);
-  check_close "node 1" 4. p.Power.per_node.(1);
-  check_close "node 2" 4. p.Power.per_node.(2);
-  check_close "max" 4. p.Power.max_power;
-  check_close "total" 9. p.Power.total_power;
-  Alcotest.(check int) "unused" 0 p.Power.unused
-
-let test_power_overlay_saves =
-  qtest "overlay bottleneck power <= G* bottleneck power" ~count:30 seed_gen (fun seed ->
-      let points, range = instance seed in
-      let gstar = Udg.build ~range points in
-      let ov = Theta_alg.overlay (Theta_alg.build ~theta:theta_default ~range points) in
-      Power.max_power_ratio ~kappa:2. ~sub:ov ~base:gstar <= 1. +. 1e-9)
-
-
-
 (* Repeated points, which the triangulation drops, and collinear sets,
    which have no triangle: a uniform or an exactly collinear base set,
    then repeats of some of its points. *)
@@ -617,23 +571,42 @@ let test_euclidean_mst_tiny () =
 (* ------------------------------------------------------------------ *)
 (* Planarity / CBTC                                                    *)
 
+(* All pairs of edge ids whose segments properly cross; edges sharing an
+   endpoint never count.  O(m²). *)
+let crossings points g =
+  let m = Graph.num_edges g in
+  let acc = ref [] in
+  for e1 = 0 to m - 1 do
+    let a, b = Graph.endpoints g e1 in
+    for e2 = e1 + 1 to m - 1 do
+      let c, d = Graph.endpoints g e2 in
+      if
+        a <> c && a <> d && b <> c && b <> d
+        && Segment.properly_intersects (points.(a), points.(b)) (points.(c), points.(d))
+      then acc := (e1, e2) :: !acc
+    done
+  done;
+  List.rev !acc
+
+let is_planar_embedding points g = crossings points g = []
+
 let test_gabriel_rng_planar =
   qtest "Gabriel and RNG embeddings are planar" ~count:40 seed_gen (fun seed ->
       let points = points_of_seed ~min_n:5 ~max_n:30 seed in
-      Planarity.is_planar_embedding points (Gabriel.build points)
-      && Planarity.is_planar_embedding points (Rng_graph.build points))
+      is_planar_embedding points (Gabriel.build points)
+      && is_planar_embedding points (Rng_graph.build points))
 
 let test_delaunay_planar =
   qtest "Delaunay triangulation is planar" ~count:40 seed_gen (fun seed ->
       let points = points_of_seed ~min_n:5 ~max_n:25 seed in
-      Planarity.is_planar_embedding points (Delaunay.build points))
+      is_planar_embedding points (Delaunay.build points))
 
 let test_crossings_detected () =
   (* Two crossing diagonals of a square. *)
   let points = [| Point.make 0. 0.; Point.make 1. 1.; Point.make 1. 0.; Point.make 0. 1. |] in
   let g = Graph.geometric points [ (0, 1); (2, 3) ] in
-  Alcotest.(check bool) "crossing found" true (Planarity.crossings points g = [ (0, 1) ]);
-  Alcotest.(check bool) "not planar" false (Planarity.is_planar_embedding points g)
+  Alcotest.(check bool) "crossing found" true (crossings points g = [ (0, 1) ]);
+  Alcotest.(check bool) "not planar" false (is_planar_embedding points g)
 
 let test_cbtc_preserves_connectivity =
   qtest "CBTC(2pi/3) preserves connectivity" ~count:40 seed_gen (fun seed ->
@@ -733,13 +706,11 @@ let test_degenerate_totality () =
       check "udg" (Udg.build ~range:1. points);
       check "udg zero range" (Udg.build ~range:0. points);
       check "yao" (Yao.graph ~theta ~range:1. points);
-      check "theta-graph" (Theta_graph.build ~theta ~range:1. points);
       check "theta-alg" (Theta_alg.overlay (Theta_alg.build ~theta ~range:1. points));
       check "theta-protocol" (fst (Theta_protocol.run ~theta ~range:1. points));
       check "knn" (Knn.build ~k:2 points);
       check "gabriel" (Gabriel.build points);
       check "rng" (Rng_graph.build points);
-      check "beta-skeleton" (Beta_skeleton.build ~beta:1.5 points);
       check "delaunay" (Delaunay.build points);
       check "euclidean-mst" (Euclidean_mst.build points);
       check "cbtc" (Cbtc.build ~alpha:(2. *. Float.pi /. 3.) ~range:1. points).Cbtc.graph)
@@ -758,8 +729,6 @@ let test_nonfinite_theta () =
           ignore (Sector.count theta));
       rejects "Yao.selections: theta must be positive and finite" (fun () ->
           ignore (Yao.selections ~theta ~range:1. points));
-      rejects "Theta_graph.build: theta must be positive and finite" (fun () ->
-          ignore (Theta_graph.build ~theta ~range:1. points));
       rejects "Theta_protocol.run: bad theta" (fun () ->
           ignore (Theta_protocol.run ~theta ~range:1. points));
       rejects "Theta_alg.build: bad theta" (fun () ->
@@ -819,11 +788,6 @@ let () =
           test_knn_edges_are_near;
           test_knn_min_connecting;
         ] );
-      ( "beta_skeleton",
-        [ test_beta_one_is_gabriel; test_beta_two_is_rng; test_beta_monotone ] );
-      ("theta_graph", [ test_theta_graph_spanner ]);
-      ( "power",
-        [ case "assignment" test_power_assignment; test_power_overlay_saves ] );
       ( "euclidean_mst",
         [
           test_euclidean_mst_exact;
