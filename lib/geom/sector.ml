@@ -13,8 +13,3 @@ let index ~theta ~apex p =
   if i >= k then k - 1 else i
 
 let same ~theta ~apex p q = index ~theta ~apex p = index ~theta ~apex q
-
-let angular_width ~theta i =
-  let k = count theta in
-  if i < 0 || i >= k then invalid_arg "Sector.angular_width: bad index";
-  if i = k - 1 then two_pi -. (theta *. float_of_int (k - 1)) else theta

@@ -17,6 +17,3 @@ val index : theta:float -> apex:Point.t -> Point.t -> int
 
 val same : theta:float -> apex:Point.t -> Point.t -> Point.t -> bool
 (** Whether two points lie in the same sector of [apex]. *)
-
-val angular_width : theta:float -> int -> float
-(** Width of sector [i] (equals [theta] except possibly the last sector). *)

@@ -2,39 +2,3 @@ let orientation a b c =
   let open Point in
   let v = cross (b -@ a) (c -@ a) in
   if v > 1e-12 then 1 else if v < -1e-12 then -1 else 0
-
-let on_segment a b (p : Point.t) =
-  let open Point in
-  p.x >= Float.min a.x b.x -. 1e-12
-  && p.x <= Float.max a.x b.x +. 1e-12
-  && p.y >= Float.min a.y b.y -. 1e-12
-  && p.y <= Float.max a.y b.y +. 1e-12
-
-let intersects (a, b) (c, d) =
-  let o1 = orientation a b c in
-  let o2 = orientation a b d in
-  let o3 = orientation c d a in
-  let o4 = orientation c d b in
-  if o1 <> o2 && o3 <> o4 then true
-  else
-    (o1 = 0 && on_segment a b c)
-    || (o2 = 0 && on_segment a b d)
-    || (o3 = 0 && on_segment c d a)
-    || (o4 = 0 && on_segment c d b)
-
-let properly_intersects (a, b) (c, d) =
-  let o1 = orientation a b c in
-  let o2 = orientation a b d in
-  let o3 = orientation c d a in
-  let o4 = orientation c d b in
-  o1 <> 0 && o2 <> 0 && o3 <> 0 && o4 <> 0 && o1 <> o2 && o3 <> o4
-
-let distance_to_point a b p =
-  let open Point in
-  let ab = b -@ a in
-  let len2 = norm2 ab in
-  if Float.equal len2 0. then dist a p
-  else begin
-    let t = Float.max 0. (Float.min 1. (dot (p -@ a) ab /. len2)) in
-    dist p (lerp a b t)
-  end

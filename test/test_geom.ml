@@ -88,17 +88,6 @@ let test_sector_index_matches_angle =
       a >= (float_of_int i *. theta) -. 1e-9
       && (a < (float_of_int (i + 1) *. theta) +. 1e-9 || i = Sector.count theta - 1))
 
-let test_sector_widths_sum () =
-  List.iter
-    (fun theta ->
-      let k = Sector.count theta in
-      let sum = ref 0. in
-      for i = 0 to k - 1 do
-        sum := !sum +. Sector.angular_width ~theta i
-      done;
-      check_close ~eps:1e-9 "widths sum to 2pi" (2. *. Float.pi) !sum)
-    [ Float.pi /. 3.; 1.; 0.7; Float.pi /. 60. ]
-
 let test_sector_same () =
   let theta = Float.pi /. 3. in
   Alcotest.(check bool) "same" true
@@ -304,31 +293,6 @@ let test_segment_orientation () =
   Alcotest.(check int) "cw" (-1) (Segment.orientation (pt 0. 0.) (pt 1. 0.) (pt 0.5 (-1.)));
   Alcotest.(check int) "collinear" 0 (Segment.orientation (pt 0. 0.) (pt 1. 0.) (pt 2. 0.))
 
-let test_segment_intersections () =
-  let cross_a = (pt 0. 0., pt 2. 2.) and cross_b = (pt 0. 2., pt 2. 0.) in
-  Alcotest.(check bool) "crossing" true (Segment.intersects cross_a cross_b);
-  Alcotest.(check bool) "properly" true (Segment.properly_intersects cross_a cross_b);
-  let touch_a = (pt 0. 0., pt 1. 0.) and touch_b = (pt 1. 0., pt 2. 1.) in
-  Alcotest.(check bool) "touching intersects" true (Segment.intersects touch_a touch_b);
-  Alcotest.(check bool) "touching not proper" false
-    (Segment.properly_intersects touch_a touch_b);
-  let far = (pt 5. 5., pt 6. 6.) in
-  Alcotest.(check bool) "disjoint" false (Segment.intersects cross_a far)
-
-let test_segment_distance () =
-  check_close "interior" 1. (Segment.distance_to_point (pt 0. 0.) (pt 2. 0.) (pt 1. 1.));
-  check_close "beyond endpoint" (sqrt 2.)
-    (Segment.distance_to_point (pt 0. 0.) (pt 2. 0.) (pt 3. 1.));
-  check_close "degenerate" 5. (Segment.distance_to_point (pt 0. 0.) (pt 0. 0.) (pt 3. 4.))
-
-let test_segment_proper_symmetric =
-  qtest "proper intersection is symmetric" ~count:300 seed_gen (fun seed ->
-      let rng = Prng.create seed in
-      let p () = pt (Prng.uniform rng) (Prng.uniform rng) in
-      let s1 = (p (), p ()) and s2 = (p (), p ()) in
-      Segment.properly_intersects s1 s2 = Segment.properly_intersects s2 s1
-      && Segment.intersects s1 s2 = Segment.intersects s2 s1)
-
 (* ------------------------------------------------------------------ *)
 (* Hull                                                                *)
 
@@ -415,7 +379,6 @@ let () =
           case "index known" test_sector_index_known;
           test_sector_index_in_range;
           test_sector_index_matches_angle;
-          case "widths sum" test_sector_widths_sum;
           case "same" test_sector_same;
         ] );
       ( "circle",
@@ -445,9 +408,6 @@ let () =
       ( "segment",
         [
           case "orientation" test_segment_orientation;
-          case "intersections" test_segment_intersections;
-          case "distance" test_segment_distance;
-          test_segment_proper_symmetric;
         ] );
       ( "hull",
         [

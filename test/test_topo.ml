@@ -571,8 +571,13 @@ let test_euclidean_mst_tiny () =
 (* ------------------------------------------------------------------ *)
 (* Planarity / CBTC                                                    *)
 
-(* All pairs of edge ids whose segments properly cross; edges sharing an
-   endpoint never count.  O(m²). *)
+(* All pairs of edge ids whose segments properly cross: each segment's
+   endpoints lie strictly on opposite sides of the other's line.  Edges
+   sharing an endpoint never count.  O(m²). *)
+let properly_cross a b c d =
+  let open Segment in
+  orientation a b c * orientation a b d < 0 && orientation c d a * orientation c d b < 0
+
 let crossings points g =
   let m = Graph.num_edges g in
   let acc = ref [] in
@@ -582,7 +587,7 @@ let crossings points g =
       let c, d = Graph.endpoints g e2 in
       if
         a <> c && a <> d && b <> c && b <> d
-        && Segment.properly_intersects (points.(a), points.(b)) (points.(c), points.(d))
+        && properly_cross points.(a) points.(b) points.(c) points.(d)
       then acc := (e1, e2) :: !acc
     done
   done;
