@@ -218,25 +218,23 @@ let e8 () =
       let _, b = uniform_instance ~range_factor:1.2 42 n in
       let m = Graph.num_edges b.Pipeline.overlay in
       let mac = Mac.random_interference ~rng:(Prng.create 7) b.Pipeline.conflict in
-      let requests =
-        Graph.fold_edges b.Pipeline.overlay ~init:[] ~f:(fun acc e edge ->
-            { Mac.edge = e; sender = edge.Graph.u; benefit = 1. } :: acc)
-      in
+      (* Every edge requests, in descending edge id. *)
+      let edge = Array.init m (fun i -> m - 1 - i) in
+      let sender = Array.map (Graph.edge_u b.Pipeline.overlay) edge in
+      let benefit = Array.make m 1. and granted = Array.make m 0 in
       let active_count = Array.make m 0 and collided_count = Array.make m 0 in
       for step = 1 to 20000 do
-        let granted = mac.Mac.select ~step requests in
-        List.iter
-          (fun (r : Mac.request) ->
-            active_count.(r.Mac.edge) <- active_count.(r.Mac.edge) + 1;
-            let hit =
-              List.exists
-                (fun (r' : Mac.request) ->
-                  r'.Mac.edge <> r.Mac.edge
-                  && Conflict.interfere b.Pipeline.conflict r.Mac.edge r'.Mac.edge)
-                granted
-            in
-            if hit then collided_count.(r.Mac.edge) <- collided_count.(r.Mac.edge) + 1)
-          granted
+        let count = mac.Mac.select ~step ~edge ~sender ~benefit ~count:m ~granted in
+        for i = 0 to count - 1 do
+          let e = edge.(granted.(i)) in
+          active_count.(e) <- active_count.(e) + 1;
+          let hit = ref false in
+          for j = 0 to count - 1 do
+            let e' = edge.(granted.(j)) in
+            if e' <> e && Conflict.interfere b.Pipeline.conflict e e' then hit := true
+          done;
+          if !hit then collided_count.(e) <- collided_count.(e) + 1
+        done
       done;
       (* The provable quantity: the union bound sum over I(e) of 1/(2 I_e'),
          which Lemma 3.2 shows is at most 1/2 for every edge. *)

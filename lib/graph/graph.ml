@@ -189,6 +189,8 @@ let iter_neighbors g u f =
     f g.adj_nbr.(k) g.adj_eid.(k)
   done
 
+let incident_edge g u k = g.adj_eid.(g.adj_off.(u) + k)
+
 let fold_edges g ~init ~f =
   let acc = ref init in
   for id = 0 to g.m - 1 do

@@ -78,6 +78,11 @@ val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 (** [iter_neighbors g u f] calls [f v edge_id] for each neighbour [v], in
     ascending edge-id order. *)
 
+val incident_edge : t -> int -> int -> int
+(** [incident_edge g u k] is the id of [u]'s [k]-th incident edge
+    ([0 <= k < degree g u]), in {!iter_neighbors}' order; no closure,
+    no allocation. *)
+
 val fold_edges : t -> init:'a -> f:('a -> int -> edge -> 'a) -> 'a
 
 val total_length : t -> float

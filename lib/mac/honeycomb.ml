@@ -28,22 +28,24 @@ module Coord_map = Map.Make (struct
 end)
 
 let mac t =
-  let select ~step:_ (requests : Mac.request list) =
-    (* Best request per hexagon of the sender. *)
-    let best =
-      List.fold_left
-        (fun acc (r : Mac.request) ->
-          let hex = t.hex_of_node.(r.Mac.sender) in
-          match Coord_map.find_opt hex acc with
-          | Some (b : Mac.request) when b.Mac.benefit >= r.Mac.benefit -> acc
-          | _ -> Coord_map.add hex r acc)
-        Coord_map.empty requests
-    in
-    (* Contestants flip the p_t coin. *)
+  let select ~step:_ ~edge:_ ~sender ~benefit ~count ~granted =
+    (* Best request per hexagon of the sender: the first of the largest
+       benefit. *)
+    let best = ref Coord_map.empty in
+    for i = 0 to count - 1 do
+      let hex = t.hex_of_node.(sender.(i)) in
+      match Coord_map.find_opt hex !best with
+      | Some b when benefit.(b) >= benefit.(i) -> ()
+      | _ -> best := Coord_map.add hex i !best
+    done;
+    (* Contestants flip the p_t coin, in ascending hexagon order. *)
     Coord_map.fold
-      (fun _ (r : Mac.request) acc ->
-        if r.Mac.benefit > t.threshold && Prng.uniform t.rng < t.p_t then r :: acc else acc)
-      best []
-    |> List.rev
+      (fun _ i n ->
+        if benefit.(i) > t.threshold && Prng.uniform t.rng < t.p_t then begin
+          granted.(n) <- i;
+          n + 1
+        end
+        else n)
+      !best 0
   in
   { Mac.name = "honeycomb"; select }

@@ -23,7 +23,9 @@ val create :
     fixed transmission range to 1. *)
 
 val mac : t -> Mac.t
-(** The protocol as a {!Mac.t}. *)
+(** The protocol as a {!Mac.t}.  Each hexagon's contestant is the first
+    of its requests with the largest benefit; contestants flip their
+    coins, and are granted, in ascending hexagon order. *)
 
 val hexagon_of : t -> int -> Adhoc_geom.Hexgrid.coord
 (** Hexagon assignment of each node (by index). *)

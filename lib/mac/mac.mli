@@ -17,37 +17,61 @@
     - {!greedy_independent}: an idealized upper-baseline that grants a
       maximal independent set of the requests by decreasing benefit. *)
 
-type request = {
-  edge : int;  (** topology edge id *)
-  sender : int;  (** node that would transmit the data packet *)
-  benefit : float;  (** the balancing benefit of the best send on this edge *)
+type t = {
+  name : string;
+  select :
+    step:int ->
+    edge:int array ->
+    sender:int array ->
+    benefit:float array ->
+    count:int ->
+    granted:int array ->
+    int;
 }
+(** [select ~step ~edge ~sender ~benefit ~count ~granted] arbitrates one
+    step's requests, given as parallel arrays: request [i < count] asks to
+    transmit over topology edge [edge.(i)] from node [sender.(i)], and
+    [benefit.(i)] is the balancing gain of that send.  At most one request
+    names an edge.  The engine lists its requests in ascending edge id.
 
-type t = { name : string; select : step:int -> request list -> request list }
-(** [select ~step requests] returns the granted subset (at most one request
-    per edge). *)
+    The MAC writes the indices of the requests it grants into
+    [granted.(0 ..)], in its own grant order, and returns how many
+    (at most [count]; [granted] must hold [count] entries).  The grant
+    order is part of the contract: a randomized MAC draws its coins in a
+    fixed order over the requests, and the engine applies the grants in a
+    stable order that starts from this one.  Entries of the arrays at or
+    past [count] are ignored, so a caller can keep them preallocated. *)
 
 val color : Adhoc_interference.Conflict.t -> t
-(** Round-robin over a greedy colouring of the conflict graph. *)
+(** Round-robin over a greedy colouring of the conflict graph: step [t]
+    grants, in request order, the requests whose edge has colour
+    [t mod k]. *)
 
 val random_interference : rng:Adhoc_util.Prng.t -> Adhoc_interference.Conflict.t -> t
 (** Activation probability [1/(2·Iₑ)] per edge per step, with [Iₑ] the
     paper's neighbourhood bound
     ({!Adhoc_interference.Conflict.neighborhood_bounds}) — what makes
-    Lemma 3.2's 1/2 collision bound hold. *)
+    Lemma 3.2's 1/2 collision bound hold.  Each request in turn draws one
+    {!Adhoc_util.Prng.bernoulli} coin against its edge's precomputed
+    threshold (the same coin as [Prng.uniform rng < 1/(2·Iₑ)]); grants
+    are in request order, and a step allocates nothing. *)
 
 val greedy_independent : Adhoc_interference.Conflict.t -> t
-(** Grants a maximal non-interfering subset, highest benefit first. *)
+(** Grants a maximal non-interfering subset, highest benefit first: the
+    requests in a stable sort by decreasing benefit, each granted unless
+    it interferes with one granted before it.  Grant order is that sort
+    order. *)
 
 val csma : rng:Adhoc_util.Prng.t -> Adhoc_interference.Conflict.t -> t
 (** Carrier-sense abstraction (CSMA/CA, MACA, 802.11 — the protocols the
     paper names for Scenario 1): contenders back off in a random order and
     transmit iff no already-transmitting edge interferes, yielding a
     maximal non-interfering subset chosen uniformly by arrival order
-    rather than by benefit. *)
+    rather than by benefit.  Grant order is the shuffled arrival order. *)
 
 val all : t
-(** Grants everything — for interference-free models and tests. *)
+(** Grants everything, in request order — for interference-free models
+    and tests. *)
 
 val instrument : Adhoc_obs.sink -> t -> t
 (** [instrument obs mac] wraps [mac] so every [select] is timed under span

@@ -17,22 +17,43 @@ type decision = {
   gain : float;
 }
 
-(* [Buffers.iter_nonzero] visits destinations in ascending order, so
-   keeping only strict gain improvements prefers the smaller destination
-   index on ties — the same order-independent argmax the old hash-order
-   scan tie-broke by hand (a qcheck property pins this).  Tracked with
-   mutable locals so the scan allocates exactly one decision record. *)
+(* The one argmax.  It walks [src]'s live row and [dst]'s row of [seen]
+   together, both ascending by destination, so each receiver height is
+   one step of a second cursor instead of a binary search.  Destinations
+   are visited in ascending order and only strict gain improvements are
+   kept, so ties go to the smaller destination index (a qcheck property
+   pins this against a brute-force argmax).  The cost is read from
+   [costs.(edge)] and the result is written to [dests.(slot)] and
+   [gains.(slot)], so no float crosses a call boxed and nothing is
+   allocated. *)
+let best_into buffers seen p ~costs ~edge ~src ~dst ~dests ~gains slot =
+  let module S = Buffers.Sparse in
+  let penalty = p.gamma *. costs.(edge) and threshold = p.threshold in
+  let q = Buffers.heights buffers in
+  let keys = S.row_keys q src and hs = S.row_values q src in
+  let seen_keys = S.row_keys seen dst and seen_hs = S.row_values seen dst in
+  let seen_len = S.row_length seen dst in
+  let j = ref 0 in
+  let best_dest = ref (-1) and best_gain = ref neg_infinity in
+  for i = 0 to S.row_length q src - 1 do
+    let d = keys.(i) in
+    while !j < seen_len && seen_keys.(!j) < d do
+      incr j
+    done;
+    let h_seen = if !j < seen_len && seen_keys.(!j) = d then seen_hs.(!j) else 0 in
+    let gain = float_of_int (hs.(i) - h_seen) -. penalty in
+    if gain > threshold && gain > !best_gain then begin
+      best_dest := d;
+      best_gain := gain
+    end
+  done;
+  dests.(slot) <- !best_dest;
+  gains.(slot) <- !best_gain
+
 let best_seen buffers seen p ~cost ~src ~dst =
-  let penalty = p.gamma *. cost in
-  let best_dest = ref (-1) in
-  let best_gain = ref neg_infinity in
-  Buffers.iter_nonzero buffers src (fun d h_src ->
-      let gain = float_of_int (h_src - Buffers.Sparse.get seen dst d) -. penalty in
-      if gain > p.threshold && gain > !best_gain then begin
-        best_dest := d;
-        best_gain := gain
-      end);
-  if !best_dest < 0 then None else Some { src; dst; dest = !best_dest; gain = !best_gain }
+  let dests = [| -1 |] and gains = [| neg_infinity |] in
+  best_into buffers seen p ~costs:[| cost |] ~edge:0 ~src ~dst ~dests ~gains 0;
+  if dests.(0) < 0 then None else Some { src; dst; dest = dests.(0); gain = gains.(0) }
 
 let best_toward buffers p ~cost ~src ~dst =
   best_seen buffers (Buffers.heights buffers) p ~cost ~src ~dst

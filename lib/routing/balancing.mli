@@ -39,6 +39,26 @@ val best_seen :
 val best_either : Buffers.t -> params -> cost:float -> u:int -> v:int -> decision option
 (** The better of the two directions (ties prefer [u → v]). *)
 
+val best_into :
+  Buffers.t ->
+  Buffers.Sparse.t ->
+  params ->
+  costs:float array ->
+  edge:int ->
+  src:int ->
+  dst:int ->
+  dests:int array ->
+  gains:float array ->
+  int ->
+  unit
+(** [best_into b seen p ~costs ~edge ~src ~dst ~dests ~gains slot] is
+    {!best_seen} with cost [costs.(edge)], written into the caller's
+    arrays: [dests.(slot)] gets the chosen destination, or [-1] for
+    [None], and [gains.(slot)] its gain.  It is the one argmax behind
+    every function above.  It walks [src]'s row and [dst]'s row of
+    [seen] together, both ascending by destination, and allocates
+    nothing, so the engines call it in their step loop. *)
+
 val apply : Buffers.t -> decision -> [ `Delivered | `Moved ]
 (** Executes the move: removes the packet at [src]; at [dst] it is either
     absorbed (when [dst = dest]) or enqueued without a cap — the threshold

@@ -45,18 +45,24 @@ module Sparse = struct
       t.key.(v) <- keys';
       t.value.(v) <- vals'
     end
-    else begin
-      Array.blit keys i keys (i + 1) (len - i);
-      Array.blit vals i vals (i + 1) (len - i)
-    end;
+    else
+      (* Plain loops: [Array.blit] into a long-lived row goes through the
+         write barrier once per element. *)
+      for j = len downto i + 1 do
+        keys.(j) <- keys.(j - 1);
+        vals.(j) <- vals.(j - 1)
+      done;
     t.key.(v).(i) <- k;
     t.value.(v).(i) <- x;
     t.len.(v) <- len + 1
 
   let remove_at t v i =
     let len = t.len.(v) in
-    Array.blit t.key.(v) (i + 1) t.key.(v) i (len - i - 1);
-    Array.blit t.value.(v) (i + 1) t.value.(v) i (len - i - 1);
+    let keys = t.key.(v) and vals = t.value.(v) in
+    for j = i to len - 2 do
+      keys.(j) <- keys.(j + 1);
+      vals.(j) <- vals.(j + 1)
+    done;
     t.len.(v) <- len - 1
 
   let set t v k x =
@@ -79,6 +85,8 @@ module Sparse = struct
     end
 
   let row_length t v = t.len.(v)
+  let row_keys t v = t.key.(v)
+  let row_values t v = t.value.(v)
 
   let iter_row t v f =
     let keys = t.key.(v) and vals = t.value.(v) in

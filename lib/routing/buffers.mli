@@ -39,6 +39,14 @@ module Sparse : sig
   val row_length : t -> int -> int
   (** Live entries in a row. *)
 
+  val row_keys : t -> int -> int array
+  (** Row [v]'s key array, for reading only: its first [row_length t v]
+      entries are the live keys, strictly ascending.  A later insertion
+      may replace the array, so read it afresh after any write. *)
+
+  val row_values : t -> int -> int array
+  (** The values parallel to {!row_keys}, for reading only. *)
+
   val iter_row : t -> int -> (int -> int -> unit) -> unit
   (** [iter_row t v f] calls [f k x] for each live entry in ascending
       key order.  [f] must not mutate row [v]. *)

@@ -92,10 +92,13 @@ type activation =
           heights changed during the previous step (all of them on a
           phase's first step), and the requesting edges are kept as a
           sorted set updated from those.  The decide phase therefore
-          costs O(stale edges + requests) instead of O(m).  The MAC's
-          input is unchanged: the same requests, with the same values,
-          in ascending edge id, as a scan of every edge would list them,
-          so a randomized MAC draws the same coins. *)
+          costs O(stale edges + requests) instead of O(m).  The MAC
+          reads that set in place, as the parallel arrays of
+          {!Adhoc_mac.Mac.t}'s [select]: the same requests, with the
+          same values, in ascending edge id, as a scan of every edge
+          would list them, so a randomized MAC draws the same coins.
+          The granted sends are applied in a stable sort of the MAC's
+          grant order. *)
 
 (** Which heights a sender sees at its neighbour. *)
 type heights =
@@ -199,7 +202,11 @@ val run_mac_given :
     transmission with the applied decision and whether it delivered;
     [on_inject] fires per injection attempt with [true] when admitted.
     Together they let a caller mirror the run's packet movements without
-    duplicating the loop — {!Tracked_engine} is built on them. *)
+    duplicating the loop — {!Tracked_engine} is built on them.  The step
+    keeps its decisions as flat per-edge arrays, and the
+    {!Balancing.decision} record handed to [on_send] is built only when
+    the hook is set: with no hook, no sink and no pool, a step allocates
+    nothing beyond the buffers' own row growth. *)
 
 val run_with_mac :
   ?cooldown:int ->

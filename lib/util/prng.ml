@@ -45,6 +45,16 @@ let[@inline] uniform g =
   let r = Int64.to_int (Int64.shift_right_logical (bits64 g) 11) in
   float_of_int r *. 0x1p-53
 
+(* [uniform g] is exactly r·2⁻⁵³ for the 53-bit [r] it draws, so
+   [uniform g < p] holds exactly when r < p·2⁵³, that is when
+   r < ⌈p·2⁵³⌉: the scaling by a power of two is exact, and so is the
+   ceiling's conversion, since it is at most 2⁵³. *)
+let bernoulli_threshold p =
+  if not (p >= 0. && p <= 1.) then invalid_arg "Prng.bernoulli_threshold: p must be in [0, 1]";
+  int_of_float (Float.ceil (p *. 0x1p53))
+
+let bernoulli g threshold = Int64.to_int (Int64.shift_right_logical (bits64 g) 11) < threshold
+
 let float g x = uniform g *. x
 
 let bool g = Int64.compare (Int64.logand (bits64 g) 1L) 0L <> 0

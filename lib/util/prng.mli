@@ -35,6 +35,17 @@ val bool : t -> bool
 val uniform : t -> float
 (** Uniform on [0, 1). *)
 
+val bernoulli_threshold : float -> int
+(** [bernoulli_threshold p] is [⌈p·2⁵³⌉], the threshold {!bernoulli}
+    compares its draw against.  Requires [0 <= p <= 1]. *)
+
+val bernoulli : t -> int -> bool
+(** [bernoulli g (bernoulli_threshold p)] is [uniform g < p], exactly:
+    it draws the same 53 bits, leaves [g] in the same state and returns
+    the same answer, for every [p] in [[0, 1]].  It compares the bits
+    against the integer threshold instead of building the float, so a
+    draw allocates nothing. *)
+
 val range : t -> float -> float -> float
 (** [range g lo hi] is uniform on [lo, hi). *)
 

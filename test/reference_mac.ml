@@ -1,0 +1,112 @@
+(* The list-based MACs that the array interface of Adhoc_mac.Mac replaced,
+   kept as the oracle for it: each [select] takes the requests as a list
+   of records and returns the granted ones, in grant order.  The bodies
+   are the old ones; only the honeycomb MAC takes its parameters as
+   arguments, since Honeycomb.t is abstract. *)
+
+module Conflict = Adhoc_interference.Conflict
+module Prng = Adhoc_util.Prng
+module Mac = Adhoc_mac.Mac
+
+type request = {
+  edge : int;
+  sender : int;
+  benefit : float;
+}
+
+type t = { name : string; select : step:int -> request list -> request list }
+
+let color conflict =
+  let colors, num_colors = Conflict.greedy_coloring conflict in
+  let select ~step requests =
+    if num_colors = 0 then requests
+    else begin
+      let active = step mod num_colors in
+      List.filter (fun r -> colors.(r.edge) = active) requests
+    end
+  in
+  { name = "color-mac"; select }
+
+let random_interference ~rng conflict =
+  let bounds = Conflict.neighborhood_bounds conflict in
+  let select ~step:_ requests =
+    List.filter
+      (fun r ->
+        let i = max 1 bounds.(r.edge) in
+        Prng.uniform rng < 1. /. (2. *. float_of_int i))
+      requests
+  in
+  { name = "random-mac"; select }
+
+let greedy_accept ~adj ~chosen_mark iter =
+  let chosen = ref [] in
+  iter (fun r ->
+      if not (Array.exists (fun e' -> chosen_mark.(e')) adj.(r.edge)) then begin
+        chosen_mark.(r.edge) <- true;
+        chosen := r :: !chosen
+      end);
+  let accepted = List.rev !chosen in
+  List.iter (fun r -> chosen_mark.(r.edge) <- false) accepted;
+  accepted
+
+let greedy_independent conflict =
+  let adj = Conflict.adjacency conflict in
+  let chosen_mark = Array.make (Array.length adj) false in
+  let select ~step:_ requests =
+    let sorted = List.sort (fun a b -> Float.compare b.benefit a.benefit) requests in
+    greedy_accept ~adj ~chosen_mark (fun f -> List.iter f sorted)
+  in
+  { name = "greedy-mac"; select }
+
+let csma ~rng conflict =
+  let adj = Conflict.adjacency conflict in
+  let chosen_mark = Array.make (Array.length adj) false in
+  let select ~step:_ requests =
+    let order = Array.of_list requests in
+    Prng.shuffle rng order;
+    greedy_accept ~adj ~chosen_mark (fun f -> Array.iter f order)
+  in
+  { name = "csma"; select }
+
+let all = { name = "all"; select = (fun ~step:_ requests -> requests) }
+
+module Coord_map = Map.Make (struct
+  type t = Adhoc_geom.Hexgrid.coord
+
+  let compare = Adhoc_geom.Hexgrid.compare_coord
+end)
+
+let honeycomb ?(p_t = 1. /. 6.) ~threshold ~rng hex_of_node =
+  let select ~step:_ requests =
+    (* Best request per hexagon of the sender. *)
+    let best =
+      List.fold_left
+        (fun acc r ->
+          let hex = hex_of_node r.sender in
+          match Coord_map.find_opt hex acc with
+          | Some b when b.benefit >= r.benefit -> acc
+          | _ -> Coord_map.add hex r acc)
+        Coord_map.empty requests
+    in
+    (* Contestants flip the p_t coin. *)
+    Coord_map.fold
+      (fun _ r acc -> if r.benefit > threshold && Prng.uniform rng < p_t then r :: acc else acc)
+      best []
+    |> List.rev
+  in
+  { name = "honeycomb"; select }
+
+(* An array MAC on a request list: the granted requests, in its grant
+   order. *)
+let grant (mac : Mac.t) ~step requests =
+  let reqs = Array.of_list requests in
+  let count = Array.length reqs in
+  let granted = Array.make count 0 in
+  let n =
+    mac.Mac.select ~step
+      ~edge:(Array.map (fun r -> r.edge) reqs)
+      ~sender:(Array.map (fun r -> r.sender) reqs)
+      ~benefit:(Array.map (fun r -> r.benefit) reqs)
+      ~count ~granted
+  in
+  List.init n (fun i -> reqs.(granted.(i)))
