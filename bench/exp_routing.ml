@@ -239,17 +239,15 @@ let e8 () =
       (* The provable quantity: the union bound sum over I(e) of 1/(2 I_e'),
          which Lemma 3.2 shows is at most 1/2 for every edge. *)
       let bounds = Conflict.neighborhood_bounds b.Pipeline.conflict in
+      let { Conflict.offsets; partners; _ } = b.Pipeline.conflict in
       let analytic = ref 0. in
-      Array.iteri
-        (fun e neighbors ->
-          ignore e;
-          let s =
-            Array.fold_left
-              (fun acc e' -> acc +. (1. /. (2. *. float_of_int (max 1 bounds.(e')))))
-              0. neighbors
-          in
-          analytic := Float.max !analytic s)
-        b.Pipeline.conflict.Conflict.sets;
+      for e = 0 to m - 1 do
+        let s = ref 0. in
+        for k = offsets.(e) to offsets.(e + 1) - 1 do
+          s := !s +. (1. /. (2. *. float_of_int (max 1 bounds.(Int32.to_int partners.{k}))))
+        done;
+        analytic := Float.max !analytic !s
+      done;
       (* No edge may reach 200 activations (n = 256): the maximum is then
          empty and prints as n/a, not as 0. *)
       let measured = ref [] and max_solid = ref None in

@@ -22,10 +22,15 @@ type t = {
   points : Point.t array;  (* the build-time array; ids index into it *)
 }
 
-let cell_of t x y =
-  let col = int_of_float (Float.floor ((x -. t.ox) /. t.cell)) in
-  let row = int_of_float (Float.floor ((y -. t.oy) /. t.cell)) in
-  (min (max col 0) (t.cols - 1), min (max row 0) (t.rows - 1))
+(* The bucketing: a coordinate's cell index is the floor of its offset
+   from the least coordinate in cells, clamped to the grid.  Both are
+   monotone in the coordinate, which is what makes a box scan exact (see
+   the interface). *)
+let column t x = min (max (int_of_float (Float.floor ((x -. t.ox) /. t.cell))) 0) (t.cols - 1)
+
+let row t y = min (max (int_of_float (Float.floor ((y -. t.oy) /. t.cell))) 0) (t.rows - 1)
+
+let cell_of t x y = (column t x, row t y)
 
 (* Shared core: grid over [points.(ids.(k))], answering queries with the
    values stored in [ids].  [ids] must be duplicate-free. *)
@@ -33,9 +38,10 @@ let build_of_ids ~cell (points : Point.t array) ids =
   if cell <= 0. then invalid_arg "Spatial_grid.build: cell must be positive";
   let k = Array.length ids in
   if k = 0 then
-    (* A valid empty grid: every query loop is a no-op over zero cells. *)
-    { cell; ox = 0.; oy = 0.; cols = 0; rows = 0;
-      start = [| 0 |]; items = [||]; ix = [||]; iy = [||]; points }
+    (* A valid empty grid: one empty cell, so every query and box scan
+       is a no-op. *)
+    { cell; ox = 0.; oy = 0.; cols = 1; rows = 1;
+      start = [| 0; 0 |]; items = [||]; ix = [||]; iy = [||]; points }
   else begin
     let p0 = points.(ids.(0)) in
     let xmin = ref p0.Point.x and xmax = ref p0.Point.x in
@@ -90,6 +96,16 @@ let build ~cell points = build_of_ids ~cell points (Array.init (Array.length poi
 let build_indexed ~cell points ids = build_of_ids ~cell points ids
 
 let cell_size t = t.cell
+
+let cell_lo t ~col ~row = t.start.((row * t.cols) + col)
+
+let cell_hi t ~col ~row = t.start.((row * t.cols) + col + 1)
+
+let slot_ids t = t.items
+
+let slot_xs t = t.ix
+
+let slot_ys t = t.iy
 
 let length t = Array.length t.items
 

@@ -191,6 +191,10 @@ let iter_neighbors g u f =
 
 let incident_edge g u k = g.adj_eid.(g.adj_off.(u) + k)
 
+let incidence_offsets g = g.adj_off
+let incidence_nodes g = g.adj_nbr
+let incidence_edges g = g.adj_eid
+
 let fold_edges g ~init ~f =
   let acc = ref init in
   for id = 0 to g.m - 1 do

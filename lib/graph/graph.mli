@@ -83,6 +83,19 @@ val incident_edge : t -> int -> int -> int
     ([0 <= k < degree g u]), in {!iter_neighbors}' order; no closure,
     no allocation. *)
 
+val incidence_offsets : t -> int array
+(** The CSR incidence, for loops that walk it with no closure: node [u]'s
+    incident edges sit in slots [off.(u) .. off.(u + 1) - 1] of
+    {!incidence_nodes} and {!incidence_edges}, in {!iter_neighbors}'
+    order, where [off] is this array (length [n + 1]).  The three are the
+    graph's own arrays, not copies: read only. *)
+
+val incidence_nodes : t -> int array
+(** The neighbour in each incidence slot. *)
+
+val incidence_edges : t -> int array
+(** The edge id in each incidence slot. *)
+
 val fold_edges : t -> init:'a -> f:('a -> int -> edge -> 'a) -> 'a
 
 val total_length : t -> float

@@ -6,8 +6,7 @@
 
     State is flat struct-of-arrays: each node holds a sorted growable
     row of nonzero destinations, so memory is O(n + live buffers) and
-    {!iter_nonzero}/{!fold_nonzero} are deterministic ascending-order
-    traversals. *)
+    {!heights} reads them in a deterministic ascending order. *)
 
 (** Generic sparse integer rows: per-row sorted (key, value) pairs in
     growable parallel int arrays, values never 0.  The engine reuses them
@@ -46,12 +45,6 @@ module Sparse : sig
 
   val row_values : t -> int -> int array
   (** The values parallel to {!row_keys}, for reading only. *)
-
-  val iter_row : t -> int -> (int -> int -> unit) -> unit
-  (** [iter_row t v f] calls [f k x] for each live entry in ascending
-      key order.  [f] must not mutate row [v]. *)
-
-  val fold_row : t -> int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
 end
 
 type t
@@ -82,14 +75,6 @@ val force_add : t -> int -> int -> unit
 
 val remove : t -> int -> int -> unit
 (** Removes one packet from [Q_{v,d}].  Requires a positive height. *)
-
-val iter_nonzero : t -> int -> (int -> int -> unit) -> unit
-(** [iter_nonzero t v f] calls [f d h] for every destination with
-    [h = h_{v,d} > 0], in ascending destination order.  [f] must not
-    mutate [v]'s buffers. *)
-
-val fold_nonzero : t -> int -> init:'a -> f:('a -> int -> int -> 'a) -> 'a
-(** Ascending destination order, like {!iter_nonzero}. *)
 
 val total : t -> int
 (** Total packets currently buffered. *)

@@ -30,6 +30,7 @@ val run_mac_given :
   ?cooldown:int ->
   ?obs:Adhoc_obs.sink ->
   ?pool:Adhoc_util.Pool.t ->
+  ?on_step:(step:int -> delivered:int -> buffered:int -> unit) ->
   ?pad:Adhoc_interference.Conflict.t ->
   quantum:int ->
   graph:Adhoc_graph.Graph.t ->
@@ -39,7 +40,7 @@ val run_mac_given :
   stats
 (** Requires [quantum >= 0].
 
-    [obs] behaves as in {!Engine.run_mac_given} — spans (with an extra
+    [obs] and [on_step] behave as in {!Engine.run_mac_given} — spans (with an extra
     [engine/advertise] scope around the advertisement phase), [engine.*]
     counters and histogram — plus a [quantized.control_messages]
     counter, and one [Height_advert] event per announcing node when the

@@ -184,27 +184,35 @@ let run_chunked t ~fire ~label ~n ~chunk =
   Mutex.unlock t.d_mutex;
   Array.iter (function Some e -> raise e | None -> ()) exns
 
+let run_region t ~label ~n ~chunk =
+  let acquired = try_acquire t in
+  (* Instrumentation fires only for top-level regions on the owning
+     domain — never for nested fallbacks — so hook/span/counter totals
+     are identical for every [jobs], including 1.  Chunk counts are the
+     one jobs-dependent quantity, by design: a region splits into
+     [min jobs n] chunks when it actually parallelizes and 1 otherwise,
+     and the slot-0 chunk pair fires on the single-chunk path too, so a
+     jobs = 1 pool still yields a complete timeline. *)
+  let fire = if acquired && Domain.self () = t.owner then t.hooks else None in
+  let k = if (not acquired) || t.jobs = 1 || n = 1 then 1 else min t.jobs n in
+  (match fire with Some h -> h.region_enter ~label ~items:n ~chunks:k | None -> ());
+  Fun.protect
+    ~finally:(fun () ->
+      (match fire with Some h -> h.region_leave ~label | None -> ());
+      if acquired then release t)
+    (fun () ->
+      if k = 1 then run_slot fire ~label ~chunk 0 0 n
+      else run_chunked t ~fire ~label ~n ~chunk)
+
+(* A jobs-1 pool with no hooks runs the chunk inline: with no worker
+   there is nothing to lock against, nothing to report, and a raise
+   leaves no state to restore.  With hooks it takes the region path, so
+   region and item counts and timelines are the same for every [jobs]. *)
 let run t ~label ~n ~chunk =
-  if n > 0 then begin
-    let acquired = try_acquire t in
-    (* Instrumentation fires only for top-level regions on the owning
-       domain — never for nested fallbacks — so hook/span/counter totals
-       are identical for every [jobs], including 1.  Chunk counts are the
-       one jobs-dependent quantity, by design: a region splits into
-       [min jobs n] chunks when it actually parallelizes and 1 otherwise,
-       and the slot-0 chunk pair fires on the single-chunk path too, so a
-       jobs = 1 pool still yields a complete timeline. *)
-    let fire = if acquired && Domain.self () = t.owner then t.hooks else None in
-    let k = if (not acquired) || t.jobs = 1 || n = 1 then 1 else min t.jobs n in
-    (match fire with Some h -> h.region_enter ~label ~items:n ~chunks:k | None -> ());
-    Fun.protect
-      ~finally:(fun () ->
-        (match fire with Some h -> h.region_leave ~label | None -> ());
-        if acquired then release t)
-      (fun () ->
-        if k = 1 then run_slot fire ~label ~chunk 0 0 n
-        else run_chunked t ~fire ~label ~n ~chunk)
-  end
+  if n > 0 then
+    match t.hooks with
+    | None when t.jobs = 1 -> chunk 0 n
+    | _ -> run_region t ~label ~n ~chunk
 
 let parallel_for t ?(label = "for") n body =
   run t ~label ~n ~chunk:(fun lo hi ->

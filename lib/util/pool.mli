@@ -35,7 +35,8 @@ type t
 val create : ?jobs:int -> unit -> t
 (** [create ~jobs ()] spawns [jobs - 1] worker domains ([jobs] is clamped
     to [1 .. 64]; default {!default_jobs}).  [jobs = 1] spawns nothing and
-    runs every region inline. *)
+    runs every region inline; with no hooks set (see {!set_hooks}) such a
+    region takes no lock either. *)
 
 val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()] clamped to [1 .. 64] — the

@@ -50,7 +50,7 @@ let greedy_accept ~adj ~chosen_mark iter =
   accepted
 
 let greedy_independent conflict =
-  let adj = Conflict.adjacency conflict in
+  let adj = Helpers.conflict_rows conflict in
   let chosen_mark = Array.make (Array.length adj) false in
   let select ~step:_ requests =
     let sorted = List.sort (fun a b -> Float.compare b.benefit a.benefit) requests in
@@ -59,7 +59,7 @@ let greedy_independent conflict =
   { name = "greedy-mac"; select }
 
 let csma ~rng conflict =
-  let adj = Conflict.adjacency conflict in
+  let adj = Helpers.conflict_rows conflict in
   let chosen_mark = Array.make (Array.length adj) false in
   let select ~step:_ requests =
     let order = Array.of_list requests in

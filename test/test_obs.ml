@@ -1112,6 +1112,34 @@ let test_domprof_jobs1_timeline () =
           Alcotest.(check int) "hi" 10 c.Domprof.hi
       | _ -> Alcotest.fail "expected exactly one chunk on the k=1 path")
 
+(* A jobs-1 pool runs unhooked regions inline, with no lock.  Hooks
+   attached after such a region, including one that raised, must still
+   see every later region whole: its region pair and its slot-0 chunk. *)
+let test_domprof_jobs1_after_inline () =
+  Pool.with_pool ~jobs:1 (fun pool ->
+      let a = Array.make 10 0 in
+      Pool.parallel_for pool ~label:"inline" 10 (fun i -> a.(i) <- i);
+      (try Pool.parallel_for pool ~label:"inline" 10 (fun _ -> failwith "boom")
+       with Failure _ -> ());
+      let dp = Domprof.create () in
+      let sink = Obs.create ~domprof:dp () in
+      Obs.attach_pool sink pool;
+      Pool.parallel_for pool ~label:"hooked" 10 (fun i -> a.(i) <- a.(i) + 1);
+      Obs.detach_pool pool;
+      Alcotest.(check int) "both regions ran" 55 (Array.fold_left ( + ) 0 a);
+      let es = Array.to_list (Domprof.entries dp) in
+      let kinds k = List.filter (fun e -> e.Domprof.kind = k) es in
+      (match kinds Domprof.Region with
+      | [ r ] ->
+          Alcotest.(check string) "region label" "hooked" r.Domprof.label;
+          Alcotest.(check int) "region items" 10 r.Domprof.hi
+      | _ -> Alcotest.fail "expected exactly the hooked region");
+      match kinds Domprof.Chunk with
+      | [ c ] ->
+          Alcotest.(check int) "slot 0" 0 c.Domprof.slot;
+          Alcotest.(check (pair int int)) "whole range" (0, 10) (c.Domprof.lo, c.Domprof.hi)
+      | _ -> Alcotest.fail "expected exactly one chunk")
+
 (* ------------------------------------------------------------------ *)
 (* GC telemetry                                                        *)
 
@@ -1320,6 +1348,7 @@ let () =
           case "lane growth past initial capacity" test_domprof_growth;
           case "span instances mirror as scopes" test_span_domprof_scopes;
           case "pool region timeline" test_domprof_pool_timeline;
+          case "jobs-1 hooks after an inline region" test_domprof_jobs1_after_inline;
           case "jobs=1 fast path still records" test_domprof_jobs1_timeline;
         ] );
       ( "gc telemetry",

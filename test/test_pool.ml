@@ -76,11 +76,23 @@ let test_exception_lowest_index () =
             (Printf.sprintf "lowest failing index surfaces at jobs=%d" jobs)
             "13" raised))
     jobs_sweep;
-  (* The pool survives a raising region. *)
-  Pool.with_pool ~jobs:3 (fun p ->
-      (try Pool.parallel_for p 8 (fun _ -> failwith "boom") with Failure _ -> ());
-      Alcotest.(check (array int)) "usable after exception" [| 0; 1; 2; 3 |]
-        (Pool.parallel_init p 4 (fun i -> i)))
+  (* The pool survives a raising region, also on the jobs-1 path that
+     runs the chunk inline with no lock. *)
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun p ->
+          let raised =
+            try
+              Pool.parallel_for p 8 (fun i -> if i = 5 then failwith "boom");
+              "none"
+            with Failure m -> m
+          in
+          Alcotest.(check string) (Printf.sprintf "re-raised at jobs=%d" jobs) "boom" raised;
+          Alcotest.(check (array int))
+            (Printf.sprintf "usable after exception at jobs=%d" jobs)
+            [| 0; 1; 2; 3 |]
+            (Pool.parallel_init p 4 (fun i -> i))))
+    [ 1; 3 ]
 
 let test_reuse_and_shutdown () =
   let p = Pool.create ~jobs:4 () in
@@ -233,12 +245,11 @@ let test_conflict_invariant =
         Topo.Theta_alg.overlay (Topo.Theta_alg.build ~theta ~range points)
       in
       let model = Adhoc_interference.Model.make ~delta:0.5 in
-      let reference = (Adhoc_interference.Conflict.build model ~points g).Adhoc_interference.Conflict.sets in
+      let reference = Adhoc_interference.Conflict.build model ~points g in
       List.for_all
         (fun jobs ->
           Pool.with_pool ~jobs (fun p ->
-              (Adhoc_interference.Conflict.build ~pool:p model ~points g)
-                .Adhoc_interference.Conflict.sets = reference))
+              Adhoc_interference.Conflict.build ~pool:p model ~points g = reference))
         jobs_sweep)
 
 (* ------------------------------------------------------------------ *)

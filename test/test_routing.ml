@@ -39,8 +39,14 @@ let test_buffers_force_add () =
   Buffers.force_add b 1 1;
   Alcotest.(check int) "destination absorbs" 0 (Buffers.height b 1 1)
 
+(* Row [v] of [s] as (key, value) pairs, read through the accessors the
+   step kernel uses. *)
+let sparse_row s v =
+  let keys = Buffers.Sparse.row_keys s v and values = Buffers.Sparse.row_values s v in
+  List.init (Buffers.Sparse.row_length s v) (fun i -> (keys.(i), values.(i)))
+
 let test_buffers_nonzero_iteration =
-  qtest "iter_nonzero lists exactly the non-empty buffers" ~count:100 seed_gen (fun seed ->
+  qtest "height rows list exactly the non-empty buffers" ~count:100 seed_gen (fun seed ->
       let rng = Prng.create seed in
       let n = 2 + Prng.int rng 8 in
       let b = Buffers.create n in
@@ -59,9 +65,11 @@ let test_buffers_nonzero_iteration =
       let ok = ref true in
       for v = 0 to n - 1 do
         let seen = Hashtbl.create 8 in
-        Buffers.iter_nonzero b v (fun d h ->
+        List.iter
+          (fun (d, h) ->
             Hashtbl.replace seen d ();
-            if reference.(v).(d) <> h || h = 0 then ok := false);
+            if reference.(v).(d) <> h || h = 0 then ok := false)
+          (sparse_row (Buffers.heights b) v);
         for d = 0 to n - 1 do
           if reference.(v).(d) > 0 && not (Hashtbl.mem seen d) then ok := false
         done
@@ -134,7 +142,7 @@ let test_buffers_matrix_oracle =
               reference.(v).(d) <- reference.(v).(d) - 1
             end
       done;
-      (* Every height agrees, and both traversals visit exactly the
+      (* Every height agrees, and each height row lists exactly the
          nonzero destinations in ascending order. *)
       for v = 0 to n - 1 do
         for d = 0 to n - 1 do
@@ -146,13 +154,7 @@ let test_buffers_matrix_oracle =
             (List.init n Fun.id)
           |> List.map (fun d -> (d, reference.(v).(d)))
         in
-        let seen = ref [] in
-        Buffers.iter_nonzero b v (fun d h -> seen := (d, h) :: !seen);
-        if List.rev !seen <> expected then ok := false;
-        let folded =
-          Buffers.fold_nonzero b v ~init:[] ~f:(fun acc d h -> (d, h) :: acc)
-        in
-        if List.rev folded <> expected then ok := false
+        if sparse_row (Buffers.heights b) v <> expected then ok := false
       done;
       !ok)
 
@@ -196,14 +198,16 @@ let test_sparse_matrix_oracle =
           Array.fold_left (fun a x -> if x <> 0 then a + 1 else a) 0 reference.(v)
         in
         if Buffers.Sparse.row_length s v <> nonzero then ok := false;
-        let last = ref (-1) and count = ref 0 in
-        Buffers.Sparse.iter_row s v (fun k x ->
+        let row = sparse_row s v in
+        let last = ref (-1) in
+        List.iter
+          (fun (k, x) ->
             if k <= !last || x = 0 || x <> reference.(v).(k) then ok := false;
-            last := k;
-            incr count);
-        if !count <> nonzero then ok := false;
+            last := k)
+          row;
+        if List.length row <> nonzero then ok := false;
         if
-          Buffers.Sparse.fold_row s v ~init:0 ~f:(fun a _ x -> a + x)
+          List.fold_left (fun a (_, x) -> a + x) 0 row
           <> Array.fold_left ( + ) 0 reference.(v)
         then ok := false
       done;
@@ -784,20 +788,6 @@ let test_certify_allocation () =
   match certificate (points, g, c) ~cost w with
   | Ok _ -> ()
   | Error reason -> Alcotest.fail reason
-
-(* VmHWM, this process's peak resident set, in MB: [None] without
-   /proc. *)
-let peak_rss_mb () =
-  match In_channel.with_open_text "/proc/self/status" In_channel.input_all with
-  | exception Sys_error _ -> None
-  | status ->
-      List.find_map
-        (fun l ->
-          match String.split_on_char ':' l with
-          | [ "VmHWM"; v ] ->
-              Scanf.sscanf_opt (String.trim v) "%d kB" (fun kb -> float_of_int kb /. 1024.)
-          | _ -> None)
-        (String.split_on_char '\n' status)
 
 (* The certifier keeps one path per distinct pair, not one Dijkstra
    result (three n-sized arrays) per source.  single_destination on 2048
@@ -1974,7 +1964,7 @@ let pad_oracle c ~colors ~k ~step base =
         (fun id ->
           colors.(id) = step mod k
           && (not (in_base id))
-          && not (Array.exists in_base c.Conflict.sets.(id)))
+          && not (Array.exists in_base (conflict_rows c).(id)))
         (List.init (Array.length colors) Fun.id)
   in
   base @ extras
@@ -2009,7 +1999,7 @@ let test_pad_matches_scan =
                    class edge, or the edge itself when it has none. *)
                 List.map
                   (fun e ->
-                    let row = c.Conflict.sets.(e) in
+                    let row = (conflict_rows c).(e) in
                     if Array.length row = 0 then e else row.(Prng.int rng (Array.length row)))
                   cls
           in
@@ -2111,6 +2101,16 @@ let test_steady_state_allocation () =
                epoch = None;
              };
            ]));
+  (* The advertised-heights path queues changed cells and walks them each
+     step; the list queue it replaced took 69-74 words per step here. *)
+  List.iter
+    (fun quantum ->
+      check
+        (Printf.sprintf "Quantized, q = %d" quantum)
+        (steady_words_per_step ~steps:horizon (fun on_step ->
+             (Quantized_engine.run_mac_given ~on_step ~pad:c ~quantum ~graph:g ~cost ~params w)
+               .Quantized_engine.base)))
+    [ 0; 2; 8 ];
   let g, c, cost, w, rng =
     steady_instance ~range_factor:1.1 ~delta:0.2 ~flows:32 ~interference_free:false ~horizon
   in
