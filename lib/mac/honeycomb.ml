@@ -2,7 +2,7 @@ open Adhoc_geom
 module Prng = Adhoc_util.Prng
 
 type t = {
-  p_t : float;
+  coin : int;  (* Prng.bernoulli_threshold p_t *)
   threshold : float;
   rng : Prng.t;
   hexgrid : Hexgrid.t;
@@ -10,12 +10,12 @@ type t = {
 }
 
 let create ?(p_t = 1. /. 6.) ~delta ~range ~threshold ~rng points =
-  if p_t <= 0. || p_t > 1. then invalid_arg "Honeycomb.create: p_t must be in (0,1]";
+  if not (p_t > 0. && p_t <= 1.) then invalid_arg "Honeycomb.create: p_t must be in (0,1]";
   if delta < 0. then invalid_arg "Honeycomb.create: negative delta";
   if range <= 0. then invalid_arg "Honeycomb.create: range must be positive";
   let hexgrid = Hexgrid.make ~side:((3. +. (2. *. delta)) *. range) in
   let hex_of_node = Array.map (Hexgrid.of_point hexgrid) points in
-  { p_t; threshold; rng; hexgrid; hex_of_node }
+  { coin = Prng.bernoulli_threshold p_t; threshold; rng; hexgrid; hex_of_node }
 
 let hexagon_of t i = t.hex_of_node.(i)
 
@@ -38,10 +38,12 @@ let mac t =
       | Some b when benefit.(b) >= benefit.(i) -> ()
       | _ -> best := Coord_map.add hex i !best
     done;
-    (* Contestants flip the p_t coin, in ascending hexagon order. *)
+    (* Contestants flip the p_t coin, in ascending hexagon order;
+       [Prng.bernoulli] draws what [Prng.uniform rng < p_t] would, without
+       boxing the float. *)
     Coord_map.fold
       (fun _ i n ->
-        if benefit.(i) > t.threshold && Prng.uniform t.rng < t.p_t then begin
+        if benefit.(i) > t.threshold && Prng.bernoulli t.rng t.coin then begin
           granted.(n) <- i;
           n + 1
         end
