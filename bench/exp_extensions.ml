@@ -4,8 +4,8 @@
          guarantee connectivity or constant degree; ΘALG does, at a
          comparable edge budget.
    E13 — θ ablation: degree bound / stretch / interference / maintenance
-         traffic as the sector angle varies, plus per-packet latency from
-         the tracked engine.
+         traffic as the sector angle varies, plus per-packet latency
+         rebuilt from the run's event log.
    E14 — geographic routing (the related-work baseline): greedy success
          rates per topology, face-routing recovery cost, and path quality
          vs the shortest path. *)
@@ -141,7 +141,7 @@ let e13 () =
       ("pi/24", Float.pi /. 24.);
     ];
   Table.print t;
-  (* Latency from the tracked engine. *)
+  (* Per-packet latency: Journey replays the run's event log. *)
   let t =
     Table.create ~title:"per-packet latency (tracked engine, scenario 1, n = 150, seed 1000)"
       [
@@ -179,19 +179,26 @@ let e13 () =
           ~opt_avg_cost:(Float.max w.Routing.Workload.opt.Routing.Workload.avg_cost 1e-9)
           ~delta:w.Routing.Workload.opt.Routing.Workload.delta ~epsilon:0.5
       in
+      (* The experiment's sink, if any, keeps its spans and metrics. *)
+      let log = Obs.Event.create () in
+      let obs =
+        match current_obs () with
+        | Some sink -> { sink with Obs.events = Some log }
+        | None -> Obs.create ~events:log ()
+      in
       let r =
-        Routing.Tracked_engine.run_mac_given ~cooldown:horizon ?obs:(current_obs ())
-          ~pad:b.Pipeline.conflict
+        Routing.Engine.run_mac_given ~cooldown:horizon ~obs ~pad:b.Pipeline.conflict
           ~graph:b.Pipeline.overlay ~cost ~params w
       in
+      let j = Routing.Journey.analyze (Obs.Event.to_array log) in
       Table.add_row t
         [
           string_of_int horizon;
-          string_of_int r.Routing.Tracked_engine.base.Routing.Engine.delivered;
-          fmt2 r.Routing.Tracked_engine.latency_mean;
-          fmt2 r.Routing.Tracked_engine.latency_p95;
-          fmt2 r.Routing.Tracked_engine.hops_mean;
-          fmt4 r.Routing.Tracked_engine.energy_per_delivered;
+          string_of_int r.Routing.Engine.delivered;
+          fmt2 j.Routing.Journey.latency_mean;
+          fmt2 j.Routing.Journey.latency_p95;
+          fmt2 j.Routing.Journey.hops_mean;
+          fmt4 j.Routing.Journey.energy_per_delivered;
         ])
     [ 4000; 16000 ];
   Table.print t;

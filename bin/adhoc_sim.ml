@@ -541,9 +541,9 @@ let analyze_cmd =
           List.filter Routing.Packet.delivered j.Routing.Journey.packets
         in
         if delivered_pkts <> [] then begin
-          (* Latency row uses Journey's pinned fields (they match
-             Tracked_engine bit-for-bit); the hop / energy spread columns
-             are computed here over the same delivered packets. *)
+          (* Latency row uses Journey's pinned fields (held bit-for-bit
+             to the tests' online FIFO mirror); the hop / energy spread
+             columns are computed here over the same delivered packets. *)
           let farr f = Array.of_list (List.map f delivered_pkts) in
           let hops = farr (fun p -> float_of_int p.Routing.Packet.hops) in
           let energy = farr (fun p -> p.Routing.Packet.energy) in

@@ -41,8 +41,10 @@ val run :
     [t]; steps count across all epochs.  Packets buffered at a node whose
     current epoch offers no useful edge simply wait — exactly the paper's
     model, where progress resumes whenever the adversary re-enables a
-    path.  An injected source or destination that is not a node raises
-    [Invalid_argument] naming [Dynamic_engine.run] and the id.
+    path.  No epochs, epochs whose graphs disagree on node count, and an
+    injected source or destination that is not a node raise
+    [Invalid_argument] naming [Dynamic_engine.run] (and, for an
+    injection, the id).
 
     [obs] behaves as in {!Engine.run_mac_given}: [engine/decide] /
     [engine/apply] spans, [engine.*] counters and the max-height

@@ -370,8 +370,6 @@ type counters = {
    nothing. *)
 type spent = { mutable total_cost : float }
 
-type on_send = step:int -> edge:int -> Balancing.decision -> [ `Delivered | `Moved ] -> unit
-type on_inject = step:int -> src:int -> dst:int -> bool -> unit
 type on_step = step:int -> delivered:int -> buffered:int -> unit
 
 (* Everything that outlives a phase. *)
@@ -389,8 +387,6 @@ type k = {
   events : Event.log option;
   height_hist : Adhoc_obs.Metrics.histogram option;
   on_step : on_step option;
-  on_send : on_send option;
-  on_inject : on_inject option;
 }
 
 (* Observability.  Every instrumentation site is a single [match] on the
@@ -457,8 +453,7 @@ let deliver k node =
 (* Decisions are taken on start-of-step heights (the paper's rule is
    simultaneous across edges); application checks that the source buffer
    still holds a packet, since several edges may have decided to drain the
-   same buffer.  An unavailable send does not transmit and costs nothing.
-   The decision record is built only for an [on_send] hook. *)
+   same buffer.  An unavailable send does not transmit and costs nothing. *)
 let attempt k (cache : Cache.t) ~step code ~collided =
   let edge = code lsr 1 in
   let src = Cache.sender cache code and dst = Cache.receiver cache code in
@@ -481,18 +476,12 @@ let attempt k (cache : Cache.t) ~step code ~collided =
         Buffers.force_add k.buffers dst dest;
         c.peak_height <- max c.peak_height (Buffers.height k.buffers dst dest)
       end;
-      (match k.events with
+      match k.events with
       | None -> ()
       | Some log ->
           Event.send log ~step ~edge ~src ~dst ~dest ~cost:cache.Cache.edge_cost.(edge)
             ~outcome:(if delivered then Event.Delivered else Event.Moved);
-          if delivered then Event.deliver log ~step ~dst:dest ~self:false);
-      match k.on_send with
-      | None -> ()
-      | Some f ->
-          f ~step ~edge
-            { Balancing.src; dst; dest; gain = cache.Cache.gain.(code) }
-            (if delivered then `Delivered else `Moved)
+          if delivered then Event.deliver log ~step ~dst:dest ~self:false
     end
   end
 
@@ -522,15 +511,13 @@ let inject k ~step (src, dst) =
         if absorbed then Event.deliver log ~step ~dst:key ~self:true);
     (* A packet injected where it is absorbed never enters a buffer. *)
     if absorbed then deliver k src
-    else c.peak_height <- max c.peak_height (Buffers.height k.buffers src key);
-    match k.on_inject with None -> () | Some f -> f ~step ~src ~dst:key true
+    else c.peak_height <- max c.peak_height (Buffers.height k.buffers src key)
   end
   else begin
     c.dropped <- c.dropped + 1;
-    (match k.events with
+    match k.events with
     | None -> ()
-    | Some log -> Event.inject log ~step ~src ~dst:key ~admitted:false);
-    match k.on_inject with None -> () | Some f -> f ~step ~src ~dst:key false
+    | Some log -> Event.inject log ~step ~src ~dst:key ~admitted:false
   end
 
 (* Top-level loops rather than [List.iter] closures, so a step allocates
@@ -740,9 +727,12 @@ let run_phase k ?pool ?cost_at ~injections ~first (ph : phase) =
         sample k ~step:t
       done
 
-let run ?obs ?pool ?on_step ?on_send ?on_inject ?cost_at ~who ~params ~heights ~absorb
-    ~injections phases =
+let run ?obs ?pool ?on_step ?cost_at ~who ~params ~heights ~absorb ~injections phases =
   let n = match phases with [] -> 0 | (ph : phase) :: _ -> Graph.n ph.graph in
+  List.iter
+    (fun (ph : phase) ->
+      if Graph.n ph.graph <> n then invalid_arg (who ^ ": phases disagree on node count"))
+    phases;
   let buffers = Buffers.create n in
   let adverts =
     match heights with
@@ -795,8 +785,6 @@ let run ?obs ?pool ?on_step ?on_send ?on_inject ?cost_at ~who ~params ~heights ~
       events = Adhoc_obs.events obs;
       height_hist;
       on_step;
-      on_send;
-      on_inject;
     }
   in
   let steps =
@@ -843,10 +831,10 @@ let run ?obs ?pool ?on_step ?on_send ?on_inject ?cost_at ~who ~params ~heights ~
 let workload_injections (w : Workload.t) t =
   if t < w.Workload.horizon then w.Workload.injections.(t) else []
 
-let run_mac_given ?(cooldown = 0) ?obs ?pool ?on_step ?on_send ?on_inject ?cost_at ?pad
-    ~graph ~cost ~params (w : Workload.t) =
-  run ?obs ?pool ?on_step ?on_send ?on_inject ?cost_at ~who:"Engine.run_mac_given" ~params
-    ~heights:Live ~absorb:Destination ~injections:(workload_injections w)
+let run_mac_given ?(cooldown = 0) ?obs ?pool ?on_step ?cost_at ?pad ~graph ~cost ~params
+    (w : Workload.t) =
+  run ?obs ?pool ?on_step ?cost_at ~who:"Engine.run_mac_given" ~params ~heights:Live
+    ~absorb:Destination ~injections:(workload_injections w)
     [
       {
         graph;
@@ -857,10 +845,10 @@ let run_mac_given ?(cooldown = 0) ?obs ?pool ?on_step ?on_send ?on_inject ?cost_
       };
     ]
 
-let run_with_mac ?(cooldown = 0) ?obs ?pool ?on_step ?on_send ?on_inject ?collisions ~graph
-    ~cost ~params ~mac (w : Workload.t) =
-  run ?obs ?pool ?on_step ?on_send ?on_inject ~who:"Engine.run_with_mac" ~params ~heights:Live
-    ~absorb:Destination ~injections:(workload_injections w)
+let run_with_mac ?(cooldown = 0) ?obs ?pool ?on_step ?collisions ~graph ~cost ~params ~mac
+    (w : Workload.t) =
+  run ?obs ?pool ?on_step ~who:"Engine.run_with_mac" ~params ~heights:Live ~absorb:Destination
+    ~injections:(workload_injections w)
     [
       {
         graph;

@@ -119,7 +119,7 @@ type absorb =
           absorbed at any member of [members.(g)]; deliveries are counted
           per node into [absorbed] (length [n]).  Group [g]'s buffers
           are keyed [n + g], so no group key can be mistaken for a node;
-          hooks and events see that key. *)
+          events see that key. *)
 
 (** A stretch of steps on one topology. *)
 type phase = {
@@ -134,9 +134,6 @@ val run :
   ?obs:Adhoc_obs.sink ->
   ?pool:Adhoc_util.Pool.t ->
   ?on_step:(step:int -> delivered:int -> buffered:int -> unit) ->
-  ?on_send:
-    (step:int -> edge:int -> Balancing.decision -> [ `Delivered | `Moved ] -> unit) ->
-  ?on_inject:(step:int -> src:int -> dst:int -> bool -> unit) ->
   ?cost_at:(step:int -> edge:int -> float) ->
   who:string ->
   params:Balancing.params ->
@@ -146,11 +143,11 @@ val run :
   phase list ->
   stats
 (** Runs the phases back to back over one set of buffers; their graphs
-    must share a node count.  Steps count across phases, and
-    [injections t] gives step [t]'s [(src, dst)] packets.  Every injected
-    id is checked: a source or destination that is not a node raises
-    [Invalid_argument] naming [who] and the id, and with {!Group} a
-    destination that is not a group index raises
+    must share a node count, or [Invalid_argument] names [who].  Steps
+    count across phases, and [injections t] gives step [t]'s [(src, dst)]
+    packets.  Every injected id is checked: a source or destination that
+    is not a node raises [Invalid_argument] naming [who] and the id, and
+    with {!Group} a destination that is not a group index raises
     [Invalid_argument (who ^ ": bad group index")].  The optional
     arguments behave as in {!run_mac_given}. *)
 
@@ -159,9 +156,6 @@ val run_mac_given :
   ?obs:Adhoc_obs.sink ->
   ?pool:Adhoc_util.Pool.t ->
   ?on_step:(step:int -> delivered:int -> buffered:int -> unit) ->
-  ?on_send:
-    (step:int -> edge:int -> Balancing.decision -> [ `Delivered | `Moved ] -> unit) ->
-  ?on_inject:(step:int -> src:int -> dst:int -> bool -> unit) ->
   ?cost_at:(step:int -> edge:int -> float) ->
   ?pad:Adhoc_interference.Conflict.t ->
   graph:Adhoc_graph.Graph.t ->
@@ -194,28 +188,18 @@ val run_mac_given :
     transmission, [Collide] per collided attempt) — the flight-recorder
     stream behind [adhoc_sim analyze], {!Adhoc_obs.Invariants} and the
     per-step series of an {!Adhoc_obs.Live} recorder attached to the
-    log.  With [None] (the default) every
-    instrumentation site reduces to a single [match], keeping the hot
-    path allocation-free and the stats bit-identical.
-
-    [on_send] fires after each {e successful} (uncollided, non-empty)
-    transmission with the applied decision and whether it delivered;
-    [on_inject] fires per injection attempt with [true] when admitted.
-    Together they let a caller mirror the run's packet movements without
-    duplicating the loop — {!Tracked_engine} is built on them.  The step
-    keeps its decisions as flat per-edge arrays, and the
-    {!Balancing.decision} record handed to [on_send] is built only when
-    the hook is set: with no hook, no sink and no pool, a step allocates
-    nothing beyond the buffers' own row growth. *)
+    log, and the per-packet journeys {!Journey} rebuilds.  With [None]
+    (the default) every instrumentation site reduces to a single
+    [match], keeping the hot path allocation-free and the stats
+    bit-identical.  The step keeps its decisions as flat per-edge
+    arrays: with no sink and no pool, a step allocates nothing beyond
+    the buffers' own row growth. *)
 
 val run_with_mac :
   ?cooldown:int ->
   ?obs:Adhoc_obs.sink ->
   ?pool:Adhoc_util.Pool.t ->
   ?on_step:(step:int -> delivered:int -> buffered:int -> unit) ->
-  ?on_send:
-    (step:int -> edge:int -> Balancing.decision -> [ `Delivered | `Moved ] -> unit) ->
-  ?on_inject:(step:int -> src:int -> dst:int -> bool -> unit) ->
   ?collisions:Adhoc_interference.Conflict.t ->
   graph:Adhoc_graph.Graph.t ->
   cost:Adhoc_graph.Cost.t ->
@@ -225,7 +209,7 @@ val run_with_mac :
   stats
 (** The workload's activations are ignored: every edge is a candidate each
     step, the MAC arbitrates.  With [collisions], granted attempts that
-    interfere with other granted attempts fail.  [obs], [pool], [on_send]
-    and [on_inject] behave as in {!run_mac_given}; a sink additionally
+    interfere with other granted attempts fail.  [obs], [pool] and
+    [on_step] behave as in {!run_mac_given}; a sink additionally
     wraps the MAC with {!Adhoc_mac.Mac.instrument}, so arbitration gets
     its own [mac/<name>] span and request / grant counters. *)

@@ -39,8 +39,8 @@ type t = {
   anomalies : int;
 }
 
-(* FIFO identity queues keyed by (node, destination), exactly as
-   {!Tracked_engine} keeps them during a live run. *)
+(* FIFO identity queues keyed by (node, destination): the engines move
+   packets FIFO per buffer cell. *)
 let queue_of queues v d =
   match Hashtbl.find_opt queues (v, d) with
   | Some q -> q
@@ -172,7 +172,8 @@ let analyze (events : Event.t array) =
   in
   let timeline = Array.of_list (List.rev !snapshots) in
   let packets = List.rev !all_packets in
-  (* From here on this is Tracked_engine's aggregation verbatim, so the
+  (* Per-packet statistics over the delivered packets in injection
+     order; the tests' reference mirror aggregates the same way, so the
      two agree bit-for-bit on the same run. *)
   let delivered_packets = List.filter Packet.delivered packets in
   let latencies =

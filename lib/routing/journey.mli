@@ -2,14 +2,14 @@
 
     The event stream records every admission and every transmission in the
     order the engine applied them, and the engines move packets FIFO per
-    (node, destination) buffer cell — the same discipline
-    {!Tracked_engine} mirrors online.  Replaying the log through identity
-    queues therefore reconstructs each packet's journey exactly: under the
-    same workload, {!analyze} on a run's event log reproduces
-    {!Tracked_engine}'s latency / hops / energy statistics bit-for-bit
-    (tested).  This is what lets [adhoc_sim analyze] compute per-packet
-    analytics from a JSONL file long after the run, with the live run
-    paying only the cost of appending events. *)
+    (node, destination) buffer cell.  Replaying the log through identity
+    queues therefore reconstructs each packet's journey exactly.  The
+    tests hold {!analyze} to an independent FIFO mirror fed online by an
+    event observer ([test/reference_tracking.ml]): on the same run the
+    latency / hops / energy statistics agree bit-for-bit, from memory and
+    after the JSONL round trip.  This is the one per-packet view of a
+    run: [adhoc_sim analyze] computes it from a JSONL file long after the
+    run, with the live run paying only the cost of appending events. *)
 
 type totals = {
   steps : int;  (** last event's step + 1 (observed steps; quiet cooldown
@@ -49,8 +49,8 @@ type t = {
   latency_p95 : float;
   hops_mean : float;
   energy_per_delivered : float;
-      (** mean energy charged to delivered packets (successful sends only,
-          as in {!Tracked_engine}) *)
+      (** mean energy charged to delivered packets (successful sends
+          only: a collided attempt moves no packet) *)
   packets : Packet.t list;
       (** every admitted non-self packet, injection order *)
   edges : edge_use array;  (** ascending edge id *)
@@ -66,5 +66,5 @@ type t = {
 
 val analyze : Adhoc_obs.Event.t array -> t
 (** Replays the events in order.  Latency fields are [0.] when nothing
-    was delivered (matching {!Tracked_engine}).  Corrupt logs do not
-    raise: unplayable events are counted in [anomalies] and skipped. *)
+    was delivered.  Corrupt logs do not raise: unplayable events are
+    counted in [anomalies] and skipped. *)

@@ -1,9 +1,9 @@
-(** Packet identities for the tracked engine.
+(** Packet identities for per-packet analytics.
 
     The balancing algorithm itself never inspects identity (buffer heights
     suffice), but end-to-end evaluation wants per-packet latency, hop count
-    and energy; the tracked engine carries these records alongside the
-    height matrix. *)
+    and energy; {!Journey} rebuilds these records from a run's event
+    log. *)
 
 type t = {
   id : int;

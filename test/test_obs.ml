@@ -281,18 +281,6 @@ let test_live_partitions_stats () =
         (match List.rev ws with w :: _ -> w.Obs.Live.buffered | [] -> 0))
     [ ("plain", fun obs -> run_plain ~obs ()); ("csma", fun obs -> run_csma ~obs ()) ]
 
-let test_tracked_engine_obs_identical () =
-  let b, params, _, wq = Lazy.force fixture in
-  let run ?obs () =
-    Tracked_engine.run_mac_given ~cooldown:200 ?obs ~pad:b.Pipeline.conflict
-      ~graph:b.Pipeline.overlay ~cost:Cost.length ~params wq
-  in
-  let plain = run () in
-  let obs = Obs.create () in
-  let with_obs = run ~obs () in
-  check_stats "tracked base" plain.Tracked_engine.base with_obs.Tracked_engine.base;
-  check_stats "tracked vs engine" golden_pad plain.Tracked_engine.base
-
 (* ------------------------------------------------------------------ *)
 (* Span self time                                                      *)
 
@@ -752,57 +740,58 @@ let test_events_collisions_checked () =
     (count is_collide (Event.to_array log))
 
 (* ------------------------------------------------------------------ *)
-(* Journey: offline replay reproduces the tracked engine exactly       *)
+(* Journey: offline replay reproduces an online FIFO mirror exactly    *)
 
 let bits = Int64.bits_of_float
 
-let check_journey_matches name (t : Tracked_engine.stats) (j : Journey.t) =
+(* Journey's per-packet statistics against the mirror's, bit for bit,
+   and its totals against the run's own stats. *)
+let check_journey_matches name (stats : Engine.stats) (r : Reference_tracking.stats)
+    (j : Journey.t) =
   let same field a b =
     if not (Int64.equal (bits a) (bits b)) then
-      Alcotest.failf "%s %s: tracked %.17g, journey %.17g" name field a b
+      Alcotest.failf "%s %s: reference %.17g, journey %.17g" name field a b
   in
-  same "latency mean" t.Tracked_engine.latency_mean j.Journey.latency_mean;
-  same "latency median" t.Tracked_engine.latency_median j.Journey.latency_median;
-  same "latency p95" t.Tracked_engine.latency_p95 j.Journey.latency_p95;
-  same "hops mean" t.Tracked_engine.hops_mean j.Journey.hops_mean;
-  same "energy per delivered" t.Tracked_engine.energy_per_delivered
+  same "latency mean" r.Reference_tracking.latency_mean j.Journey.latency_mean;
+  same "latency median" r.Reference_tracking.latency_median j.Journey.latency_median;
+  same "latency p95" r.Reference_tracking.latency_p95 j.Journey.latency_p95;
+  same "hops mean" r.Reference_tracking.hops_mean j.Journey.hops_mean;
+  same "energy per delivered" r.Reference_tracking.energy_per_delivered
     j.Journey.energy_per_delivered;
-  same "total energy" t.Tracked_engine.base.Engine.total_cost j.Journey.totals.Journey.energy;
-  Alcotest.(check int) (name ^ " delivered") t.Tracked_engine.base.Engine.delivered
+  same "total energy" stats.Engine.total_cost j.Journey.totals.Journey.energy;
+  Alcotest.(check int) (name ^ " delivered") stats.Engine.delivered
     j.Journey.totals.Journey.delivered;
-  Alcotest.(check int) (name ^ " injected") t.Tracked_engine.base.Engine.injected
+  Alcotest.(check int) (name ^ " injected") stats.Engine.injected
     j.Journey.totals.Journey.injected;
-  Alcotest.(check int) (name ^ " dropped") t.Tracked_engine.base.Engine.dropped
-    j.Journey.totals.Journey.dropped;
+  Alcotest.(check int) (name ^ " dropped") stats.Engine.dropped j.Journey.totals.Journey.dropped;
   Alcotest.(check int) (name ^ " anomalies") 0 j.Journey.anomalies;
   Alcotest.(check int)
     (name ^ " packet count")
-    (List.length t.Tracked_engine.packets)
+    (List.length r.Reference_tracking.packets)
     (List.length j.Journey.packets)
 
+(* The golden padded run, with its event log and the mirror that
+   followed it online. *)
 let tracked_with_events () =
-  let b, params, _, wq = Lazy.force fixture in
+  let b, _, _, _ = Lazy.force fixture in
   let log = Event.create () in
-  let obs = Obs.create ~events:log () in
-  let t =
-    Tracked_engine.run_mac_given ~cooldown:200 ~obs ~pad:b.Pipeline.conflict
-      ~graph:b.Pipeline.overlay ~cost:Cost.length ~params wq
-  in
-  (t, log)
+  let mirror = Reference_tracking.attach ~graph:b.Pipeline.overlay ~cost:Cost.length log in
+  let stats = run_pad ~obs:(Obs.create ~events:log ()) () in
+  (stats, Reference_tracking.stats mirror, log)
 
 let test_journey_matches_tracked () =
-  let t, log = tracked_with_events () in
-  check_journey_matches "golden" t (Journey.analyze (Event.to_array log))
+  let stats, r, log = tracked_with_events () in
+  check_journey_matches "golden" stats r (Journey.analyze (Event.to_array log))
 
 let test_journey_survives_jsonl () =
   (* The analytics must be reproducible from the file, not just the
      in-memory log — %.17g costs make the round trip exact. *)
-  let t, log = tracked_with_events () in
+  let stats, r, log = tracked_with_events () in
   with_temp_file ".jsonl" (fun file ->
       Event.save_jsonl log file;
       match Event.load_jsonl file with
       | Error msg -> Alcotest.failf "load failed: %s" msg
-      | Ok events -> check_journey_matches "jsonl" t (Journey.analyze events))
+      | Ok events -> check_journey_matches "jsonl" stats r (Journey.analyze events))
 
 let test_journey_matches_tracked_random =
   qtest "journey replay = tracked engine on random workloads" ~count:15 seed_gen
@@ -822,20 +811,21 @@ let test_journey_matches_tracked_random =
       in
       let params = Balancing.params ~threshold:1. ~gamma:0.1 ~capacity:50 in
       let log = Event.create () in
-      let obs = Obs.create ~events:log () in
-      let t =
-        Tracked_engine.run_mac_given ~cooldown:150 ~obs ~graph:g ~cost:Cost.length ~params w
+      let mirror = Reference_tracking.attach ~graph:g ~cost:Cost.length log in
+      let stats =
+        Engine.run_mac_given ~cooldown:150 ~obs:(Obs.create ~events:log ()) ~graph:g
+          ~cost:Cost.length ~params w
       in
+      let r = Reference_tracking.stats mirror in
       let j = Journey.analyze (Event.to_array log) in
-      Int64.equal (bits t.Tracked_engine.latency_mean) (bits j.Journey.latency_mean)
-      && Int64.equal (bits t.Tracked_engine.latency_median) (bits j.Journey.latency_median)
-      && Int64.equal (bits t.Tracked_engine.latency_p95) (bits j.Journey.latency_p95)
-      && Int64.equal (bits t.Tracked_engine.hops_mean) (bits j.Journey.hops_mean)
+      Int64.equal (bits r.Reference_tracking.latency_mean) (bits j.Journey.latency_mean)
+      && Int64.equal (bits r.Reference_tracking.latency_median) (bits j.Journey.latency_median)
+      && Int64.equal (bits r.Reference_tracking.latency_p95) (bits j.Journey.latency_p95)
+      && Int64.equal (bits r.Reference_tracking.hops_mean) (bits j.Journey.hops_mean)
       && Int64.equal
-           (bits t.Tracked_engine.energy_per_delivered)
+           (bits r.Reference_tracking.energy_per_delivered)
            (bits j.Journey.energy_per_delivered)
-      && Int64.equal (bits t.Tracked_engine.base.Engine.total_cost)
-           (bits j.Journey.totals.Journey.energy)
+      && Int64.equal (bits stats.Engine.total_cost) (bits j.Journey.totals.Journey.energy)
       && j.Journey.anomalies = 0)
 
 let test_journey_flags_corrupt_log () =
@@ -857,13 +847,12 @@ let test_journey_flags_corrupt_log () =
   Alcotest.(check bool) "uninjected send is an anomaly" true (j.Journey.anomalies > 0)
 
 let test_journey_edge_table () =
-  let t, log = tracked_with_events () in
+  let stats, _, log = tracked_with_events () in
   let j = Journey.analyze (Event.to_array log) in
   let edge_sends =
     Array.fold_left (fun a (e : Journey.edge_use) -> a + e.Journey.sends) 0 j.Journey.edges
   in
-  Alcotest.(check int) "per-edge sends partition the total"
-    t.Tracked_engine.base.Engine.sends edge_sends;
+  Alcotest.(check int) "per-edge sends partition the total" stats.Engine.sends edge_sends;
   Array.iter
     (fun (e : Journey.edge_use) ->
       let u, v = Graph.endpoints (let b, _, _, _ = Lazy.force fixture in b.Pipeline.overlay) e.Journey.edge in
@@ -875,8 +864,8 @@ let test_journey_edge_table () =
   | [||] -> Alcotest.fail "no timeline"
   | tl ->
       let _, final_delivered, _ = tl.(Array.length tl - 1) in
-      Alcotest.(check int) "timeline converges to the delivery total"
-        t.Tracked_engine.base.Engine.delivered final_delivered
+      Alcotest.(check int) "timeline converges to the delivery total" stats.Engine.delivered
+        final_delivered
 
 (* ------------------------------------------------------------------ *)
 (* Engine variants: obs parity                                         *)
@@ -1338,7 +1327,6 @@ let () =
           case "obs enabled is bit-identical" test_golden_enabled;
           case "csma with obs + stride" test_golden_enabled_csma;
           case "live windows sum to stats" test_live_partitions_stats;
-          case "tracked engine unchanged" test_tracked_engine_obs_identical;
         ] );
       ( "domprof",
         [
