@@ -143,7 +143,7 @@ let e13 () =
   Table.print t;
   (* Per-packet latency: Journey replays the run's event log. *)
   let t =
-    Table.create ~title:"per-packet latency (tracked engine, scenario 1, n = 150, seed 1000)"
+    Table.create ~title:"per-packet latency (event-log journeys, scenario 1, n = 150, seed 1000)"
       [
         ("horizon", Table.Right);
         ("delivered", Table.Right);
