@@ -65,14 +65,6 @@ let best_either buffers p ~cost ~u ~v =
   | None, d | d, None -> d
   | Some f, Some b -> if b.gain > f.gain then Some b else Some f
 
-let apply buffers d =
-  Buffers.remove buffers d.src d.dest;
-  if d.dst = d.dest then `Delivered
-  else begin
-    Buffers.force_add buffers d.dst d.dest;
-    `Moved
-  end
-
 module Derive = struct
   let capacity_of ~b ~t ~delta ~l ~epsilon =
     let bf = float_of_int b in

@@ -59,12 +59,6 @@ val best_into :
     [seen] together, both ascending by destination, and allocates
     nothing, so the engines call it in their step loop. *)
 
-val apply : Buffers.t -> decision -> [ `Delivered | `Moved ]
-(** Executes the move: removes the packet at [src]; at [dst] it is either
-    absorbed (when [dst = dest]) or enqueued without a cap — the threshold
-    precondition keeps receiver buffers below senders', so in-transit
-    packets are never dropped (paper, Section 3.2). *)
-
 (** Deriving the paper's parameter settings from an optimal schedule's
     characteristics. *)
 module Derive : sig

@@ -255,17 +255,6 @@ let test_balancing_threshold_strict () =
   Alcotest.(check bool) "above threshold" true
     (Balancing.best_toward b p ~cost:1. ~src:0 ~dst:1 <> None)
 
-let test_balancing_apply () =
-  let b = Buffers.create 3 in
-  ignore (Buffers.inject b ~cap:10 0 2);
-  let d = { Balancing.src = 0; dst = 1; dest = 2; gain = 1. } in
-  Alcotest.(check bool) "moved" true (Balancing.apply b d = `Moved);
-  Alcotest.(check int) "arrived" 1 (Buffers.height b 1 2);
-  let d2 = { Balancing.src = 1; dst = 2; dest = 2; gain = 1. } in
-  Alcotest.(check bool) "delivered" true (Balancing.apply b d2 = `Delivered);
-  Alcotest.(check int) "absorbed" 0 (Buffers.height b 2 2);
-  Alcotest.(check int) "drained" 0 (Buffers.total b)
-
 let test_balancing_best_either () =
   let b = Buffers.create 2 in
   let p = Balancing.params ~threshold:0. ~gamma:0. ~capacity:10 in
@@ -449,33 +438,6 @@ let test_balancing_matches_oracle =
                    (oracle ~src seen_heights.(dst)))
             then ok := false
           end
-        done
-      done;
-      !ok)
-
-let test_balancing_apply_conserves =
-  qtest "apply conserves packets (Moved) or absorbs one (Delivered)" ~count:150 seed_gen
-    (fun seed ->
-      let rng = Prng.create seed in
-      let n = 2 + Prng.int rng 6 in
-      let b = buffers_of_heights (random_heights rng n) in
-      let p = Balancing.params ~threshold:0. ~gamma:(Prng.uniform rng) ~capacity:100 in
-      let cost = Prng.uniform rng in
-      let ok = ref true in
-      for src = 0 to n - 1 do
-        for dst = 0 to n - 1 do
-          if src <> dst then
-            match Balancing.best_toward b p ~cost ~src ~dst with
-            | None -> ()
-            | Some d ->
-                let before = Buffers.total b in
-                (match Balancing.apply b d with
-                | `Moved ->
-                    if Buffers.total b <> before then ok := false;
-                    if d.Balancing.dest = dst then ok := false
-                | `Delivered ->
-                    if Buffers.total b <> before - 1 then ok := false;
-                    if d.Balancing.dest <> dst then ok := false)
         done
       done;
       !ok)
@@ -2172,11 +2134,9 @@ let () =
         [
           case "argmax" test_balancing_picks_argmax;
           case "strict threshold" test_balancing_threshold_strict;
-          case "apply" test_balancing_apply;
           case "best either" test_balancing_best_either;
           test_balancing_order_independent;
           test_balancing_matches_oracle;
-          test_balancing_apply_conserves;
           case "derive 3.1" test_derive_3_1;
           case "derive 3.3" test_derive_3_3;
           case "epsilon monotone" test_derive_epsilon_monotone;
