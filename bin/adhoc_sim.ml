@@ -97,7 +97,9 @@ let make_points dist rng n =
 let build ?obs ?pool seed n theta range_factor delta dist =
   let rng = Prng.create seed in
   let points = make_points dist rng n in
-  let range = range_factor *. Topo.Udg.critical_range points in
+  let range =
+    range_factor *. Obs.time obs "prepare/critical-range" (fun () -> Topo.Udg.critical_range points)
+  in
   (rng, points, range, Pipeline.prepare ~delta ~theta ?obs ?pool ~range points)
 
 (* ------------------------------------------------------------------ *)
