@@ -26,8 +26,9 @@ let circumcircle a b c =
 
 let in_circumcircle a b c p =
   let open Point in
-  (* Orientation of abc. *)
-  let orient = cross (b -@ a) (c -@ a) in
+  (* Orientation of abc: [cross (b -@ a) (c -@ a)] in plain floats, the
+     same operations in the same order, with no boxed temporary. *)
+  let orient = ((b.x -. a.x) *. (c.y -. a.y)) -. ((b.y -. a.y) *. (c.x -. a.x)) in
   let ax = a.x -. p.x and ay = a.y -. p.y in
   let bx = b.x -. p.x and by = b.y -. p.y in
   let cx = c.x -. p.x and cy = c.y -. p.y in

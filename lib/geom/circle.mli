@@ -26,4 +26,5 @@ val circumcircle : Point.t -> Point.t -> Point.t -> t option
 val in_circumcircle : Point.t -> Point.t -> Point.t -> Point.t -> bool
 (** [in_circumcircle a b c p] tests whether [p] lies strictly inside the
     circumcircle of triangle [abc], using the robust-ish determinant form
-    (sign corrected for triangle orientation). *)
+    (sign corrected for triangle orientation).  Plain float arithmetic:
+    it allocates nothing. *)

@@ -3,10 +3,11 @@
    Edges live in three parallel arrays (endpoints canonicalised [u < v],
    plus length); adjacency is CSR — [adj_off] prefix offsets into
    [adj_nbr]/[adj_eid].  The builder appends into growable flat arrays
-   with no per-add set lookup; [build] dedups once by sorting an index
-   permutation under the monomorphic ((u, v), insertion-index) order and
-   keeping the first insertion of each pair, so edge ids match the old
-   insert-time-dedup semantics exactly while the hot path stays
+   with no per-add set lookup; [build] dedups once.  Two stable counting
+   passes over the insertion log, by v and then by u, put it in
+   ((u, v), insertion-index) order in O(k + n) for k insertions on n
+   nodes; the first insertion of each pair is kept, so edge ids match the
+   old insert-time-dedup semantics exactly while the hot path stays
    allocation-free. *)
 
 type edge = { u : int; v : int; len : float }
@@ -67,20 +68,14 @@ module Builder = struct
 
   let build b =
     let k = b.count in
-    (* Sort an index permutation by ((u, v), insertion index): duplicates
-       become adjacent runs whose first element is the earliest insertion,
-       which is the one that keeps its length ("first wins", matching the
-       old insert-time dedup). *)
-    let perm = Array.init k Fun.id in
-    Array.sort
-      (fun i j ->
-        let c = Int.compare b.bu.(i) b.bu.(j) in
-        if c <> 0 then c
-        else begin
-          let c = Int.compare b.bv.(i) b.bv.(j) in
-          if c <> 0 then c else Int.compare i j
-        end)
-      perm;
+    (* Order the insertion log by ((u, v), insertion index): by v, then
+       stably by u.  Duplicates become adjacent runs whose first element
+       is the earliest insertion, which is the one that keeps its length
+       ("first wins", matching the old insert-time dedup). *)
+    let perm = Array.init k Fun.id and by_v = Array.make k 0 in
+    let count = Array.make (b.bn + 1) 0 in
+    Adhoc_util.Counting_sort.pass ~count ~key:b.bv perm by_v k;
+    Adhoc_util.Counting_sort.pass ~count ~key:b.bu by_v perm k;
     let keep = Array.make k false in
     let m = ref 0 in
     for s = 0 to k - 1 do

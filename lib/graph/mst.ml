@@ -1,34 +1,75 @@
-let kruskal n (weighted_edges : (int * int * float) array) =
-  Array.sort (fun (_, _, a) (_, _, b) -> Float.compare a b) weighted_edges;
-  let uf = Adhoc_util.Union_find.create n in
+module Union_find = Adhoc_util.Union_find
+
+(* Candidate indices [0 .. k-1] in ascending [Float.compare] order of
+   their lengths, equal lengths by index: a bottom-up merge sort of
+   (length, index) pairs held in parallel arrays, so every comparison
+   reads two unboxed floats in sequence and calls no closure.  Each merge
+   takes from the left run on ties and the runs start in index order,
+   which makes the sort stable. *)
+let by_length (lens : float array) =
+  let k = Array.length lens in
+  let src_key = ref (Array.copy lens) and dst_key = ref (Array.make k 0.) in
+  let src_idx = ref (Array.init k Fun.id) and dst_idx = ref (Array.make k 0) in
+  let width = ref 1 in
+  while !width < k do
+    let key = !src_key and idx = !src_idx and out_key = !dst_key and out_idx = !dst_idx in
+    let w = !width and lo = ref 0 in
+    while !lo < k do
+      let mid = Int.min k (!lo + w) and hi = Int.min k (!lo + (2 * w)) in
+      let i = ref !lo and j = ref mid in
+      for o = !lo to hi - 1 do
+        if !j >= hi || (!i < mid && Float.compare key.(!i) key.(!j) <= 0) then begin
+          out_key.(o) <- key.(!i);
+          out_idx.(o) <- idx.(!i);
+          incr i
+        end
+        else begin
+          out_key.(o) <- key.(!j);
+          out_idx.(o) <- idx.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src_key := out_key;
+    src_idx := out_idx;
+    dst_key := key;
+    dst_idx := idx;
+    width := 2 * w
+  done;
+  !src_idx
+
+let kruskal n (us : int array) (vs : int array) (lens : float array) =
+  let k = Array.length lens in
+  if Array.length us <> k || Array.length vs <> k then
+    invalid_arg "Mst.kruskal: candidate arrays differ in length";
+  let order = by_length lens in
+  let uf = Union_find.create n in
   let b = Graph.Builder.create n in
-  Array.iter
-    (fun (u, v, len) -> if Adhoc_util.Union_find.union uf u v then Graph.Builder.add_edge b u v len)
-    weighted_edges;
+  let s = ref 0 in
+  while !s < k && Union_find.count uf > 1 do
+    let i = order.(!s) in
+    if Union_find.union uf us.(i) vs.(i) then Graph.Builder.add_edge b us.(i) vs.(i) lens.(i);
+    incr s
+  done;
   Graph.Builder.build b
 
 let of_graph g =
-  let edges =
-    Graph.fold_edges g ~init:[] ~f:(fun acc _ e -> (e.Graph.u, e.Graph.v, e.Graph.len) :: acc)
-  in
-  kruskal (Graph.n g) (Array.of_list edges)
-
-(* The Euclidean MST is a subgraph of the Delaunay triangulation, but the
-   graph library cannot depend on the topology library; callers with a
-   Delaunay edge set in hand should use [of_candidate_edges]. *)
-let of_candidate_edges points pairs =
-  let n = Array.length points in
-  let edges =
-    List.rev_map (fun (u, v) -> (u, v, Adhoc_geom.Point.dist points.(u) points.(v))) pairs
-  in
-  kruskal n (Array.of_list edges)
+  let m = Graph.num_edges g in
+  kruskal (Graph.n g) (Array.init m (Graph.edge_u g)) (Array.init m (Graph.edge_v g))
+    (Array.init m (Graph.length g))
 
 let of_points points =
   let n = Array.length points in
-  let edges = ref [] in
+  let k = n * (n - 1) / 2 in
+  let us = Array.make k 0 and vs = Array.make k 0 and lens = Array.make k 0. in
+  let i = ref 0 in
   for u = 0 to n - 1 do
     for v = u + 1 to n - 1 do
-      edges := (u, v, Adhoc_geom.Point.dist points.(u) points.(v)) :: !edges
+      us.(!i) <- u;
+      vs.(!i) <- v;
+      lens.(!i) <- Adhoc_geom.Point.dist points.(u) points.(v);
+      incr i
     done
   done;
-  kruskal n (Array.of_list !edges)
+  kruskal n us vs lens

@@ -1,18 +1,28 @@
 (** Euclidean minimum spanning tree (Kruskal), a classical baseline for the
     topology-comparison experiment and the bottom of the proximity-graph
-    chain [MST ⊆ RNG ⊆ Gabriel ⊆ Delaunay]. *)
+    chain [MST ⊆ RNG ⊆ Gabriel ⊆ Delaunay].
+
+    One Kruskal on flat arrays serves every entry point: candidate
+    endpoints in two int arrays, lengths in a float array, an index
+    permutation ordered by a stable merge sort over the lengths, and
+    {!Adhoc_util.Union_find} to pick the tree edges. *)
+
+val kruskal : int -> int array -> int array -> float array -> Graph.t
+(** [kruskal n us vs lens] is the minimum spanning forest, on nodes
+    [0 .. n-1], of the candidate edges [i] joining [us.(i)] and [vs.(i)]
+    at length [lens.(i)].  Candidates are taken in ascending
+    [Float.compare] order of length, equal lengths in index order, and
+    the output's edge ids follow the order in which they are taken;
+    repeated pairs and self-loops are allowed.  O(k log k) time and O(k)
+    words for k candidates, with no comparison closure.  Raises
+    [Invalid_argument] when the three arrays differ in length. *)
 
 val of_graph : Graph.t -> Graph.t
 (** Minimum spanning forest of the input (spanning tree per component),
-    minimizing total edge length. *)
+    minimizing total edge length; candidates in edge-id order. *)
 
 val of_points : Adhoc_geom.Point.t array -> Graph.t
-(** MST of the complete Euclidean graph on the points.  O(n²) edges — for
-    large sets prefer {!of_candidate_edges} with a Delaunay edge set
-    (which provably contains the MST); see
-    {!Adhoc_topo.Euclidean_mst.build}. *)
-
-val of_candidate_edges : Adhoc_geom.Point.t array -> (int * int) list -> Graph.t
-(** Minimum spanning forest restricted to the given candidate pairs, with
-    Euclidean lengths.  Equals the true Euclidean MST whenever the
-    candidates contain one (e.g. Delaunay edges). *)
+(** MST of the complete Euclidean graph on the points, candidates in
+    ascending (u, v) order.  O(n²) candidates: an oracle and a small-n
+    baseline; {!Adhoc_topo.Euclidean_mst.build} finds the same tree from
+    O(n) Delaunay candidates. *)

@@ -1,5 +1,6 @@
 open Adhoc_geom
 module Graph = Adhoc_graph.Graph
+module Counting_sort = Adhoc_util.Counting_sort
 
 (* Bowyer–Watson with point location.
 
@@ -120,6 +121,13 @@ let triangles points =
       end;
       inside.(t)
     in
+    (* The line through u and v separates p from the third vertex of a
+       triangle that turns counter-clockwise ([ccw]) or clockwise.  It
+       takes no float argument and captures none, so it boxes nothing. *)
+    let[@inline] across ccw u v p =
+      let s = side u v p in
+      if ccw then s < 0. else s > 0.
+    in
     (* Visibility walk: leave a real triangle across an edge whose line
        separates p from the opposite vertex, and a ghost that does not
        contain p across its hull edge; stop at a ghost that contains p, at
@@ -129,14 +137,10 @@ let triangles points =
       if budget = 0 then t
       else if c = ghost then if test step t p then t else walk step p nbr.((3 * t) + 2) (budget - 1)
       else begin
-        let o = side a b points.(c) in
-        let[@inline] across u v =
-          let s = side u v p in
-          if o > 0. then s < 0. else s > 0.
-        in
-        if across a b then walk step p nbr.((3 * t) + 2) (budget - 1)
-        else if across b c then walk step p nbr.(3 * t) (budget - 1)
-        else if across c a then walk step p nbr.((3 * t) + 1) (budget - 1)
+        let ccw = side a b points.(c) > 0. in
+        if across ccw a b p then walk step p nbr.((3 * t) + 2) (budget - 1)
+        else if across ccw b c p then walk step p nbr.(3 * t) (budget - 1)
+        else if across ccw c a p then walk step p nbr.((3 * t) + 1) (budget - 1)
         else t
       end
     in
@@ -242,24 +246,35 @@ let triangles points =
         end)
       rest;
     (* The order of a scan that prepends each insertion's triangles, in
-       descending (u, v), to the survivors: newest apex first. *)
+       descending (u, v), to the survivors: newest apex first.  Three
+       stable counting passes put the real triangles in ascending
+       (apex rank, u, v) order, and prepending each to the list reverses
+       it.  No two live triangles share all three keys. *)
     let rank = Array.make n 0 in
     List.iteri (fun r i -> rank.(i) <- r) (i0 :: i1 :: i2 :: rest);
     let real = stack () in
     for t = 0 to !slots - 1 do
       if vert.(3 * t) >= 0 && vert.((3 * t) + 2) <> ghost then push real t
     done;
-    let real = Array.sub real.data 0 real.len in
-    let key t k = vert.((3 * t) + k) in
-    Array.sort
-      (fun s t ->
-        let c = Int.compare rank.(key t 2) rank.(key s 2) in
-        if c <> 0 then c
-        else
-          let c = Int.compare (key t 0) (key s 0) in
-          if c <> 0 then c else Int.compare (key t 1) (key s 1))
-      real;
-    Array.fold_right (fun t acc -> sort3 (key t 0) (key t 1) (key t 2) :: acc) real []
+    let k = real.len in
+    let key_u = Array.make !slots 0 and key_v = Array.make !slots 0 in
+    let key_apex = Array.make !slots 0 in
+    for j = 0 to k - 1 do
+      let t = real.data.(j) in
+      key_u.(t) <- vert.(3 * t);
+      key_v.(t) <- vert.((3 * t) + 1);
+      key_apex.(t) <- rank.(vert.((3 * t) + 2))
+    done;
+    let order = Array.make k 0 and count = Array.make (n + 1) 0 in
+    Counting_sort.pass ~count ~key:key_v real.data order k;
+    Counting_sort.pass ~count ~key:key_u order real.data k;
+    Counting_sort.pass ~count ~key:key_apex real.data order k;
+    let acc = ref [] in
+    for j = 0 to k - 1 do
+      let t = order.(j) in
+      acc := sort3 vert.(3 * t) vert.((3 * t) + 1) vert.((3 * t) + 2) :: !acc
+    done;
+    !acc
 
 let build ?(range = infinity) points =
   let b = Graph.Builder.create (Array.length points) in

@@ -8,9 +8,15 @@
     its successor in {!Adhoc_geom.Point.compare} order: that chain links
     repeated points, which the triangulation drops, at length 0, and it
     is the MST of a collinear set, which has no triangle.  So every input
-    takes the same path, with O(n) candidates and no all-pairs step. *)
+    takes the same path, with O(n) candidates and no all-pairs step.
+
+    The candidates — three per triangle, then the chain — go into flat
+    endpoint and length arrays for {!Adhoc_graph.Mst.kruskal}: no
+    candidate list and no boxed (u, v, length) tuple. *)
 
 val build : Adhoc_geom.Point.t array -> Adhoc_graph.Graph.t
+(** A minimum spanning tree (forest, for fewer than two distinct points)
+    of the points. *)
 
 val longest_edge : Adhoc_geom.Point.t array -> float
 (** Length of the MST's longest edge — the connectivity threshold of the

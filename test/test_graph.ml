@@ -289,6 +289,18 @@ let test_mst_of_points () =
   Alcotest.(check int) "edges" 3 (Graph.num_edges t);
   check_close "weight" 10. (Graph.total_length t)
 
+(* Equal lengths are taken in candidate order, and edge ids follow the
+   order taken: a triangle of unit sides keeps its first two
+   candidates, and a shorter candidate listed last comes first. *)
+let test_mst_kruskal_order () =
+  let edges g = List.init (Graph.num_edges g) (Graph.endpoints g) in
+  let tree = Mst.kruskal 3 [| 1; 0; 0 |] [| 2; 2; 1 |] [| 1.; 1.; 1. |] in
+  Alcotest.(check (list (pair int int))) "ties" [ (1, 2); (0, 2) ] (edges tree);
+  let tree = Mst.kruskal 4 [| 0; 1; 2; 0 |] [| 1; 2; 3; 3 |] [| 2.; 2.; 2.; 1. |] in
+  Alcotest.(check (list (pair int int))) "shorter first" [ (0, 3); (0, 1); (1, 2) ] (edges tree);
+  Alcotest.check_raises "lengths" (Invalid_argument "Mst.kruskal: candidate arrays differ in length")
+    (fun () -> ignore (Mst.kruskal 2 [| 0 |] [| 1 |] [||]))
+
 let test_mst_beats_random_spanning_tree =
   qtest "MST minimal vs random spanning tree" ~count:100 seed_gen (fun seed ->
       let g = random_graph seed in
@@ -437,6 +449,7 @@ let () =
         [
           case "known" test_mst_known;
           case "of points" test_mst_of_points;
+          case "kruskal order" test_mst_kruskal_order;
           test_mst_beats_random_spanning_tree;
           test_mst_forest;
         ] );

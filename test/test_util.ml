@@ -1,5 +1,6 @@
 module Pqueue = Adhoc_util.Pqueue
 module Union_find = Adhoc_util.Union_find
+module Counting_sort = Adhoc_util.Counting_sort
 module Stats = Adhoc_util.Stats
 module Table = Adhoc_util.Table
 module Json = Adhoc_util.Json
@@ -267,6 +268,20 @@ let test_union_find_all_merged =
         ignore (Union_find.union uf i (i + 1))
       done;
       Union_find.count uf = 1 && Union_find.same uf 0 (n - 1))
+
+(* ------------------------------------------------------------------ *)
+(* Counting_sort                                                       *)
+
+let test_counting_pass_stable =
+  qtest "pass = List.stable_sort by key" ~count:200 seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let buckets = 1 + Prng.int rng 20 and k = Prng.int rng 60 in
+      let key = Array.init (k + Prng.int rng 5) (fun _ -> Prng.int rng buckets) in
+      let src = Array.init k (fun _ -> Prng.int rng (Array.length key)) in
+      let dst = Array.make k (-1) in
+      Counting_sort.pass ~count:(Array.make (buckets + 1) 7) ~key src dst k;
+      Array.to_list dst
+      = List.stable_sort (fun x y -> Int.compare key.(x) key.(y)) (Array.to_list src))
 
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
@@ -578,6 +593,7 @@ let () =
         ] );
       ( "union_find",
         [ case "basic" test_union_find_basic; test_union_find_all_merged ] );
+      ("counting", [ test_counting_pass_stable ]);
       ( "stats",
         [
           case "mean stddev" test_stats_mean_stddev;
