@@ -93,17 +93,29 @@ let () =
      maintenance scales with density, not network size.\n\n"
     (Topo.Theta_alg.degree_bound ~theta);
 
-  (* Route WHILE the responders move: epochs of 120 steps, buffers carried
-     across topology changes (the paper's dynamic adversarial setting). *)
+  (* Route WHILE the responders move: twelve epochs of 800 steps, buffers
+     carried across topology changes (the paper's dynamic adversarial
+     setting).  Each epoch is one phase of the step kernel on that
+     snapshot's overlay, activating one colour class of its conflict graph
+     per step (an interference-free TDMA schedule). *)
   let mobility2 =
     Pointset.Mobility.create ~pause:5 ~speed_min:0.002 ~speed_max:0.01 (Prng.create 100)
       (Pointset.Generators.clusters ~num_clusters:4 ~spread:0.07 (Prng.create 100) 120)
   in
+  let cost = Graphs.Cost.energy ~kappa:2. in
   let epochs =
-    List.init 12 (fun _ ->
+    List.init 12 (fun i ->
         let snapshot = Pointset.Mobility.positions mobility2 in
         Pointset.Mobility.run mobility2 40;
-        Routing.Dynamic_engine.epoch_of_points ~delta:0.05 ~steps:800 snapshot)
+        let range = 1.5 *. Topo.Udg.critical_range snapshot in
+        let b = Pipeline.prepare ~delta:0.05 ~theta ~range snapshot in
+        {
+          Routing.Engine.graph = b.Pipeline.overlay;
+          cost;
+          activation = Rounds (Some b.Pipeline.conflict);
+          steps = 800;
+          epoch = Some i;
+        })
   in
   (* Two sustained flows between cluster members. *)
   let inj_rng = Prng.create 101 in
@@ -113,8 +125,8 @@ let () =
   in
   let params = Routing.Balancing.params ~threshold:1. ~gamma:1. ~capacity:200 in
   let stats =
-    Routing.Dynamic_engine.run ~epochs ~injections ~cost:(Graphs.Cost.energy ~kappa:2.)
-      ~params ()
+    Routing.Engine.run ~who:"disaster_relief" ~params ~heights:Live ~absorb:Destination
+      ~injections epochs
   in
   Printf.printf
     "routing across 12 moving epochs (%d steps): injected %d, delivered %d,\n\

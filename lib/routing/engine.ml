@@ -738,6 +738,7 @@ let run ?obs ?pool ?on_step ?cost_at ~who ~params ~heights ~absorb ~injections p
     match heights with
     | Live -> None
     | Advertised { quantum; adverts } ->
+        if quantum < 0 then invalid_arg (Printf.sprintf "%s: negative quantum %d" who quantum);
         Some
           {
             quantum;
@@ -753,7 +754,22 @@ let run ?obs ?pool ?on_step ?cost_at ~who ~params ~heights ~absorb ~injections p
   let members = Sparse.create n in
   (match absorb with
   | Destination -> ()
-  | Group g -> Array.iteri (fun gi vs -> Array.iter (fun v -> Sparse.set members v gi 1) vs) g.members);
+  | Group { members = groups; absorbed } ->
+      if Array.length absorbed <> n then
+        invalid_arg
+          (Printf.sprintf "%s: absorbed has length %d, not the node count %d" who
+             (Array.length absorbed) n);
+      Array.iteri
+        (fun gi vs ->
+          if Array.length vs = 0 then invalid_arg (Printf.sprintf "%s: group %d is empty" who gi);
+          Array.iter
+            (fun v ->
+              if v < 0 || v >= n then
+                invalid_arg (Printf.sprintf "%s: group %d member %d is not a node" who gi v);
+              Sparse.set members v gi 1)
+            vs)
+        groups);
+  let adverts_before = match heights with Live -> 0 | Advertised { adverts; _ } -> !adverts in
   let height_hist =
     match obs with
     | None -> None
@@ -825,7 +841,10 @@ let run ?obs ?pool ?on_step ?cost_at ~who ~params ~heights ~absorb ~injections p
       count "engine.failed_sends" stats.failed_sends;
       gauge "engine.total_cost" stats.total_cost;
       gauge "engine.peak_height" (float_of_int stats.peak_height);
-      gauge "engine.remaining" (float_of_int stats.remaining));
+      gauge "engine.remaining" (float_of_int stats.remaining);
+      match heights with
+      | Live -> ()
+      | Advertised { adverts; _ } -> count "engine.height_adverts" (!adverts - adverts_before));
   stats
 
 let workload_injections (w : Workload.t) t =

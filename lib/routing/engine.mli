@@ -19,9 +19,10 @@
       edge is a candidate, a step costs O(stale edges + requests), not
       O(m): only edges at a node whose heights changed are re-decided
       (see {!Arbitrated}).
-    - {!Dynamic_engine}, {!Quantized_engine} and {!Anycast} run the same
-      kernel over colour-class epochs, §3.2's advertised heights and
-      absorbing destination groups. *)
+
+    The other settings are calls to {!run} itself: a changing topology is
+    one phase per epoch, §3.2's reduced control exchange is the
+    {!Advertised} height view, and anycast is {!Group} absorption. *)
 
 type stats = {
   steps : int;
@@ -107,18 +108,32 @@ type heights =
       (** §3.2's reduced control exchange: a node re-broadcasts its
           heights when one has drifted by more than [quantum] from the
           value last advertised, and neighbours decide against the
-          advertised values.  Each step opens with an
-          [engine/advertise] pass; [adverts] counts the broadcasts and
-          each one is a [Height_advert] event. *)
+          advertised values.  A negative [quantum] raises
+          [Invalid_argument] naming [who].  With [quantum = 0] the run is
+          the [Live] run.  Stale heights cannot break safety, since a
+          send still needs a packet in the sender's real buffer; they
+          delay or misdirect a send by at most [quantum] per hop, which
+          the threshold T absorbs once T > 2·[quantum].
+
+          Each step opens with an [engine/advertise] pass.  Every
+          broadcast adds one to [adverts] and is a [Height_advert]
+          event; a sink gets the run's count as the
+          [engine.height_adverts] counter. *)
 
 (** Where a packet is absorbed. *)
 type absorb =
   | Destination  (** at its destination node *)
   | Group of { members : int array array; absorbed : int array }
-      (** anycast: an injection [(src, g)] names group [g] and is
-          absorbed at any member of [members.(g)]; deliveries are counted
-          per node into [absorbed] (length [n]).  Group [g]'s buffers
-          are keyed [n + g], so no group key can be mistaken for a node;
+      (** anycast (§1.2), with edge costs: an injection [(src, g)] names
+          group [g] and is absorbed at any member of [members.(g)].  A
+          member never buffers its group's packets, so its height for
+          the group stays zero, and the gradient pulls each packet
+          towards its cheapest member to reach with no nearest-sink
+          computation.  Deliveries are counted per node into
+          [absorbed].  An empty group, a member that is not a node or an
+          [absorbed] whose length is not the node count raises
+          [Invalid_argument] naming [who].  Group [g]'s buffers are
+          keyed [n + g], so no group key can be mistaken for a node;
           events see that key. *)
 
 (** A stretch of steps on one topology. *)
@@ -127,7 +142,12 @@ type phase = {
   cost : Adhoc_graph.Cost.t;
   activation : activation;
   steps : int;
-  epoch : int option;  (** opens with an [Epoch_change] event when [Some] *)
+  epoch : int option;
+      (** opens with an [Epoch_change] event when [Some].  Phases over a
+          changing topology share their buffers, and a packet waits
+          wherever its epoch offers no useful edge.  No OPT is certified
+          across adversarial topology changes (that is the intractable
+          OPT itself), so such runs report absolute counts, not ratios. *)
 }
 
 val run :
@@ -148,7 +168,8 @@ val run :
     packets.  Every injected id is checked: a source or destination that
     is not a node raises [Invalid_argument] naming [who] and the id, and
     with {!Group} a destination that is not a group index raises
-    [Invalid_argument (who ^ ": bad group index")].  The optional
+    [Invalid_argument (who ^ ": bad group index")].  {!Advertised} and
+    {!Group} check their arguments as their docs say.  The optional
     arguments behave as in {!run_mac_given}. *)
 
 val run_mac_given :

@@ -63,3 +63,44 @@ let peak_rss_mb () =
               Scanf.sscanf_opt (String.trim v) "%d kB" (fun kb -> float_of_int kb /. 1024.)
           | _ -> None)
         (String.split_on_char '\n' status)
+
+(* The step kernel over a changing topology: one [Rounds] phase per
+   [(graph, conflict, steps)] epoch, on one set of buffers, with
+   [Epoch_change] events numbering the epochs. *)
+let run_epochs ?obs ?pool ~params ~injections epochs =
+  let module Engine = Adhoc_routing.Engine in
+  Engine.run ?obs ?pool ~who:"test" ~params ~heights:Live ~absorb:Destination ~injections
+    (List.mapi
+       (fun i (graph, c, steps) ->
+         {
+           Engine.graph;
+           cost = Adhoc_graph.Cost.length;
+           activation = Rounds (Some c);
+           steps;
+           epoch = Some i;
+         })
+       epochs)
+
+(* Scenario 1 with §3.2's advertised heights: the workload's activations
+   padded with [pad]'s colour classes for its horizon plus [cooldown]
+   steps.  Returns the stats and the number of height broadcasts. *)
+let run_advertised ?(cooldown = 0) ?obs ?pool ?on_step ?(cost = Adhoc_graph.Cost.length) ~pad
+    ~quantum ~graph ~params (w : Adhoc_routing.Workload.t) =
+  let module Engine = Adhoc_routing.Engine in
+  let horizon = w.Adhoc_routing.Workload.horizon in
+  let adverts = ref 0 in
+  let stats =
+    Engine.run ?obs ?pool ?on_step ~who:"test" ~params ~heights:(Advertised { quantum; adverts })
+      ~absorb:Destination
+      ~injections:(fun t -> if t < horizon then w.Adhoc_routing.Workload.injections.(t) else [])
+      [
+        {
+          Engine.graph;
+          cost;
+          activation = Given (w, Some pad);
+          steps = horizon + cooldown;
+          epoch = None;
+        };
+      ]
+  in
+  (stats, !adverts)
