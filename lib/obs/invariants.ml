@@ -110,11 +110,15 @@ let check t i (e : Event.t) =
               (Printf.sprintf "outcome moved but dst %d is the destination (should deliver)"
                  dst);
           ignore (bump t dst dest 1))
-  | Event.Collide { step; edge; src; dst; cost; _ } ->
+  | Event.Collide { step; edge; src; dst; dest; cost } ->
       check_edge t i ~step ~edge ~src ~dst;
       t.sends <- t.sends + 1;
       t.failed_sends <- t.failed_sends + 1;
-      t.energy <- t.energy +. cost
+      t.energy <- t.energy +. cost;
+      if height t src dest <= 0 then
+        violate t i
+          (Printf.sprintf "collision of a packet for %d from node %d, whose buffer is empty"
+             dest src)
   | Event.Deliver _ ->
       t.delivered <- t.delivered + 1;
       if t.pending_deliver = 0 then
