@@ -48,21 +48,18 @@ let sort3 a b c =
 
 let triangles points =
   let n = Array.length points in
-  (* Drop exact duplicates: they would make circumcircles degenerate. *)
-  let seen = Hashtbl.create n in
-  let keep =
-    Array.to_list
-      (Array.mapi
-         (fun i (p : Point.t) ->
-           let key = (p.Point.x, p.Point.y) in
-           if Hashtbl.mem seen key then None
-           else begin
-             Hashtbl.add seen key ();
-             Some i
-           end)
-         points)
-  in
-  let keep = List.filter_map Fun.id keep in
+  (* Drop exact duplicates: they would make circumcircles degenerate.  A
+     point is its own key: [Hashtbl.hash] and [compare] treat -0 as 0, and
+     every NaN as one value, on its flat float fields. *)
+  let seen = Hashtbl.create n and kept = ref [] in
+  Array.iteri
+    (fun i (p : Point.t) ->
+      if not (Hashtbl.mem seen p) then begin
+        Hashtbl.add seen p ();
+        kept := i :: !kept
+      end)
+    points;
+  let keep = List.rev !kept in
   (* [Point.(cross (points.(v) -@ points.(u)) (p -@ points.(u)))] in plain
      floats: the same operations in the same order, without allocating. *)
   let[@inline] side u v (p : Point.t) =
