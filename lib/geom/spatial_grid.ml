@@ -25,10 +25,15 @@ type t = {
 (* The bucketing: a coordinate's cell index is the floor of its offset
    from the least coordinate in cells, clamped to the grid.  Both are
    monotone in the coordinate, which is what makes a box scan exact (see
-   the interface). *)
-let column t x = min (max (int_of_float (Float.floor ((x -. t.ox) /. t.cell))) 0) (t.cols - 1)
+   the interface).  The clamp compares floats before converting, so an
+   offset beyond the int range (an infinite coordinate, say) still lands
+   on the last cell. *)
+let clamp_cell c last =
+  if c >= float_of_int last then last else if c > 0. then int_of_float c else 0
 
-let row t y = min (max (int_of_float (Float.floor ((y -. t.oy) /. t.cell))) 0) (t.rows - 1)
+let column t x = clamp_cell (Float.floor ((x -. t.ox) /. t.cell)) (t.cols - 1)
+
+let row t y = clamp_cell (Float.floor ((y -. t.oy) /. t.cell)) (t.rows - 1)
 
 let cell_of t x y = (column t x, row t y)
 
@@ -109,22 +114,33 @@ let slot_ys t = t.iy
 
 let length t = Array.length t.items
 
+(* The box of cells column (px - w) .. column (px + w) by row (py - w) ..
+   row (py + w) holds every point the [<=] test accepts.  For a point at
+   offset dx = fl (x - px), fl dx² <= fl (dx² + dy²) <= fl r², so
+   fl dx² < fl w² once w = fl (|r| (1 + 2^-20)) (in the normal range the
+   widening beats the two roundings of r² and w²; below it, any r with
+   r² < 2^-1022 only accepts |dx| < 2^-510), hence |dx| < w, and since w
+   is a float, |x - px| < w exactly.  Rounding is monotone, so
+   fl (px - w) <= x <= fl (px + w), and [column] is monotone too.  An
+   infinite r² accepts everything, and an infinite w covers the grid.
+   Cells are visited row-major and each in slot order. *)
 let fold_within t (p : Point.t) r ~init ~f =
   if Array.length t.items = 0 then init
   else begin
     let r2 = r *. r in
     let px = p.Point.x and py = p.Point.y in
-    let col0, row0 = cell_of t px py in
-    let span = 1 + int_of_float (Float.ceil (r /. t.cell)) in
+    let w =
+      if Float.equal r2 infinity then infinity
+      else Float.max (Float.abs r *. (1. +. 0x1p-20)) 0x1p-510
+    in
+    let c0 = column t (px -. w) and c1 = column t (px +. w) in
+    let r0 = row t (py -. w) and r1 = row t (py +. w) in
     let acc = ref init in
-    for row = max 0 (row0 - span) to min (t.rows - 1) (row0 + span) do
-      let base = row * t.cols in
-      for col = max 0 (col0 - span) to min (t.cols - 1) (col0 + span) do
-        let b = base + col in
-        for k = t.start.(b) to t.start.(b + 1) - 1 do
-          let dx = t.ix.(k) -. px and dy = t.iy.(k) -. py in
-          if (dx *. dx) +. (dy *. dy) <= r2 then acc := f !acc t.items.(k)
-        done
+    for rw = r0 to r1 do
+      (* The box's columns of one row are one contiguous run of slots. *)
+      for k = t.start.((rw * t.cols) + c0) to t.start.((rw * t.cols) + c1 + 1) - 1 do
+        let dx = t.ix.(k) -. px and dy = t.iy.(k) -. py in
+        if (dx *. dx) +. (dy *. dy) <= r2 then acc := f !acc t.items.(k)
       done
     done;
     !acc

@@ -65,7 +65,10 @@ val length : t -> int
 val fold_within : t -> Point.t -> float -> init:'a -> f:('a -> int -> 'a) -> 'a
 (** [fold_within g p r ~init ~f] folds [f] over the indices of all points at
     Euclidean distance ≤ [r] from [p] (including a point equal to [p] if
-    present). *)
+    present), in row-major cell order and slot order within a cell.  It
+    scans the box of cells around [p] that the [<=] test can reach, [r]
+    widened by a relative [2^-20] to cover rounding: 3–4 cells a side
+    when [r] is about the cell size. *)
 
 val iter_within : t -> Point.t -> float -> (int -> unit) -> unit
 

@@ -148,6 +148,8 @@ let num_edges g = g.m
 
 let edge_u g id = g.eu.(id)
 let edge_v g id = g.ev.(id)
+let edge_us g = g.eu
+let edge_vs g = g.ev
 
 let edge g id = { u = g.eu.(id); v = g.ev.(id); len = g.elen.(id) }
 
@@ -183,8 +185,6 @@ let iter_neighbors g u f =
   for k = g.adj_off.(u) to g.adj_off.(u + 1) - 1 do
     f g.adj_nbr.(k) g.adj_eid.(k)
   done
-
-let incident_edge g u k = g.adj_eid.(g.adj_off.(u) + k)
 
 let incidence_offsets g = g.adj_off
 let incidence_nodes g = g.adj_nbr

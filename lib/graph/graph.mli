@@ -64,6 +64,14 @@ val edge_u : t -> int -> int
 val edge_v : t -> int -> int
 (** Upper endpoint of the edge (no allocation). *)
 
+val edge_us : t -> int array
+(** Every edge's lower endpoint, by edge id ([(edge_us g).(e)] is
+    [edge_u g e]), for loops that read endpoints with no call per edge.
+    The graph's own array, not a copy: read only. *)
+
+val edge_vs : t -> int array
+(** Every edge's upper endpoint, by edge id (read only). *)
+
 val endpoints : t -> int -> int * int
 
 val other_endpoint : t -> int -> int -> int
@@ -81,11 +89,6 @@ val max_degree : t -> int
 val iter_neighbors : t -> int -> (int -> int -> unit) -> unit
 (** [iter_neighbors g u f] calls [f v edge_id] for each neighbour [v], in
     ascending edge-id order. *)
-
-val incident_edge : t -> int -> int -> int
-(** [incident_edge g u k] is the id of [u]'s [k]-th incident edge
-    ([0 <= k < degree g u]), in {!iter_neighbors}' order; no closure,
-    no allocation. *)
 
 val incidence_offsets : t -> int array
 (** The CSR incidence, for loops that walk it with no closure: node [u]'s

@@ -1,12 +1,10 @@
 module Union_find = Adhoc_util.Union_find
 
-(* Candidate indices [0 .. k-1] in ascending [Float.compare] order of
-   their lengths, equal lengths by index: a bottom-up merge sort of
-   (length, index) pairs held in parallel arrays, so every comparison
-   reads two unboxed floats in sequence and calls no closure.  Each merge
-   takes from the left run on ties and the runs start in index order,
-   which makes the sort stable. *)
-let by_length (lens : float array) =
+(* A bottom-up merge sort of (key, index) pairs held in parallel arrays,
+   so every comparison reads two unboxed floats in sequence and calls no
+   closure.  Each merge takes from the left run on ties and the runs
+   start in index order, which makes the sort stable. *)
+let ascending (lens : float array) =
   let k = Array.length lens in
   let src_key = ref (Array.copy lens) and dst_key = ref (Array.make k 0.) in
   let src_idx = ref (Array.init k Fun.id) and dst_idx = ref (Array.make k 0) in
@@ -43,7 +41,7 @@ let kruskal n (us : int array) (vs : int array) (lens : float array) =
   let k = Array.length lens in
   if Array.length us <> k || Array.length vs <> k then
     invalid_arg "Mst.kruskal: candidate arrays differ in length";
-  let order = by_length lens in
+  let order = ascending lens in
   let uf = Union_find.create n in
   let b = Graph.Builder.create n in
   let s = ref 0 in

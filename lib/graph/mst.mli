@@ -7,6 +7,13 @@
     permutation ordered by a stable merge sort over the lengths, and
     {!Adhoc_util.Union_find} to pick the tree edges. *)
 
+val ascending : float array -> int array
+(** [ascending keys] is the indices [0 .. k-1] in ascending
+    [Float.compare] order of [keys], equal keys in index order: the
+    stable, closure-free merge sort {!kruskal} orders its candidates
+    with.  Sorting a permutation by one key after another (least
+    significant first) orders it lexicographically. *)
+
 val kruskal : int -> int array -> int array -> float array -> Graph.t
 (** [kruskal n us vs lens] is the minimum spanning forest, on nodes
     [0 .. n-1], of the candidate edges [i] joining [us.(i)] and [vs.(i)]

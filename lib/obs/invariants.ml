@@ -5,6 +5,7 @@ let max_kept = 64
 type t = {
   is_active : (step:int -> edge:int -> bool) option;
   endpoints : (int -> int * int) option;
+  absorbs : node:int -> dest:int -> bool;  (* the run's absorption rule *)
   heights : (int * int, int) Hashtbl.t;  (* (node, dest) -> packets buffered *)
   mutable buffered : int;
   mutable injected : int;
@@ -22,10 +23,13 @@ type t = {
   mutable kept : violation list;  (* newest first *)
 }
 
-let create ?is_active ?endpoints () =
+let at_destination ~node ~dest = node = dest
+
+let create ?is_active ?endpoints ?(absorbs = at_destination) () =
   {
     is_active;
     endpoints;
+    absorbs;
     heights = Hashtbl.create 64;
     buffered = 0;
     injected = 0;
@@ -84,7 +88,7 @@ let check t i (e : Event.t) =
   | Event.Inject { src; dst; admitted; _ } ->
       if admitted then begin
         t.injected <- t.injected + 1;
-        if src = dst then open_delivery t i "self-absorbed injection"
+        if t.absorbs ~node:src ~dest:dst then open_delivery t i "self-absorbed injection"
         else ignore (bump t src dst 1)
       end
       else t.dropped <- t.dropped + 1
@@ -99,13 +103,13 @@ let check t i (e : Event.t) =
       else ignore (bump t src dest (-1));
       (match outcome with
       | Event.Delivered ->
-          if dst <> dest then
+          if not (t.absorbs ~node:dst ~dest) then
             violate t i
               (Printf.sprintf "outcome delivered but dst %d is not the destination %d" dst
                  dest);
           open_delivery t i "delivering send"
       | Event.Moved ->
-          if dst = dest then
+          if t.absorbs ~node:dst ~dest then
             violate t i
               (Printf.sprintf "outcome moved but dst %d is the destination (should deliver)"
                  dst);
@@ -146,8 +150,8 @@ let final_check t ~injected ~dropped ~delivered ~sends ~failed_sends ~total_cost
     violate t i
       (Printf.sprintf "total_cost: stats say %.17g, events sum to %.17g" total_cost t.energy)
 
-let run ?is_active ?endpoints events =
-  let t = create ?is_active ?endpoints () in
+let run ?is_active ?endpoints ?absorbs events =
+  let t = create ?is_active ?endpoints ?absorbs () in
   Array.iteri (fun i e -> check t i e) events;
   List.rev t.kept
 

@@ -8,7 +8,7 @@
     - {b buffer conservation} — a [Send] only drains a buffer some
       earlier event filled ([Inject]/[Send Moved]), heights never go
       negative, and [Send Delivered] / [Send Moved] agree with whether
-      [dst = dest];
+      [dst] absorbs [dest] (by default [dst = dest]; see [absorbs]);
     - {b delivery pairing} — every delivering event ([Send Delivered],
       self-absorbed [Inject]) is followed by exactly one [Deliver], and
       no [Deliver] appears unprovoked;
@@ -33,8 +33,16 @@ type t
 val create :
   ?is_active:(step:int -> edge:int -> bool) ->
   ?endpoints:(int -> int * int) ->
+  ?absorbs:(node:int -> dest:int -> bool) ->
   unit ->
   t
+(** [absorbs ~node ~dest] is the run's absorption rule: whether a packet
+    keyed [dest] is absorbed at [node], both when it is injected there
+    and when a send delivers it there.  The default, [node = dest], is
+    every [Engine.Destination] run's.  An [Engine.Group] run keys a
+    packet for group [g] as [n + g] on [n] nodes and absorbs it at any
+    member, so its checker needs
+    [fun ~node ~dest -> dest >= n && Array.mem node members.(dest - n)]. *)
 
 val check : t -> int -> Event.t -> unit
 (** Feed one event with its index.  Steps must be fed in log order. *)
@@ -60,6 +68,7 @@ val final_check :
 val run :
   ?is_active:(step:int -> edge:int -> bool) ->
   ?endpoints:(int -> int * int) ->
+  ?absorbs:(node:int -> dest:int -> bool) ->
   Event.t array ->
   violation list
 (** Offline convenience: fold a whole array (no final stats check). *)

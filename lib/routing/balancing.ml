@@ -22,20 +22,18 @@ type decision = {
    one step of a second cursor instead of a binary search.  Destinations
    are visited in ascending order and only strict gain improvements are
    kept, so ties go to the smaller destination index (a qcheck property
-   pins this against a brute-force argmax).  The cost is read from
-   [costs.(edge)] and the result is written to [dests.(slot)] and
-   [gains.(slot)], so no float crosses a call boxed and nothing is
-   allocated. *)
-let best_into buffers seen p ~costs ~edge ~src ~dst ~dests ~gains slot =
-  let module S = Buffers.Sparse in
+   pins this against a brute-force argmax).  The rows are read as fields
+   and the cost from [costs.(edge)], and the result is written to
+   [dests.(slot)] and [gains.(slot)], so the loop calls nothing, no float
+   crosses a call boxed and nothing is allocated. *)
+let best_into (q : Buffers.Sparse.t) (seen : Buffers.Sparse.t) p ~costs ~edge ~src ~dst ~dests
+    ~gains slot =
   let penalty = p.gamma *. costs.(edge) and threshold = p.threshold in
-  let q = Buffers.heights buffers in
-  let keys = S.row_keys q src and hs = S.row_values q src in
-  let seen_keys = S.row_keys seen dst and seen_hs = S.row_values seen dst in
-  let seen_len = S.row_length seen dst in
+  let keys = q.key.(src) and hs = q.value.(src) in
+  let seen_keys = seen.key.(dst) and seen_hs = seen.value.(dst) and seen_len = seen.len.(dst) in
   let j = ref 0 in
   let best_dest = ref (-1) and best_gain = ref neg_infinity in
-  for i = 0 to S.row_length q src - 1 do
+  for i = 0 to q.len.(src) - 1 do
     let d = keys.(i) in
     while !j < seen_len && seen_keys.(!j) < d do
       incr j
@@ -52,7 +50,7 @@ let best_into buffers seen p ~costs ~edge ~src ~dst ~dests ~gains slot =
 
 let best_seen buffers seen p ~cost ~src ~dst =
   let dests = [| -1 |] and gains = [| neg_infinity |] in
-  best_into buffers seen p ~costs:[| cost |] ~edge:0 ~src ~dst ~dests ~gains 0;
+  best_into (Buffers.heights buffers) seen p ~costs:[| cost |] ~edge:0 ~src ~dst ~dests ~gains 0;
   if dests.(0) < 0 then None else Some { src; dst; dest = dests.(0); gain = gains.(0) }
 
 let best_toward buffers p ~cost ~src ~dst =

@@ -40,7 +40,7 @@ val best_either : Buffers.t -> params -> cost:float -> u:int -> v:int -> decisio
 (** The better of the two directions (ties prefer [u → v]). *)
 
 val best_into :
-  Buffers.t ->
+  Buffers.Sparse.t ->
   Buffers.Sparse.t ->
   params ->
   costs:float array ->
@@ -51,13 +51,14 @@ val best_into :
   gains:float array ->
   int ->
   unit
-(** [best_into b seen p ~costs ~edge ~src ~dst ~dests ~gains slot] is
-    {!best_seen} with cost [costs.(edge)], written into the caller's
-    arrays: [dests.(slot)] gets the chosen destination, or [-1] for
-    [None], and [gains.(slot)] its gain.  It is the one argmax behind
-    every function above.  It walks [src]'s row and [dst]'s row of
-    [seen] together, both ascending by destination, and allocates
-    nothing, so the engines call it in their step loop. *)
+(** [best_into q seen p ~costs ~edge ~src ~dst ~dests ~gains slot] is
+    {!best_seen} on the live height rows [q] ({!Buffers.heights}) with
+    cost [costs.(edge)], written into the caller's arrays:
+    [dests.(slot)] gets the chosen destination, or [-1] for [None], and
+    [gains.(slot)] its gain.  It is the one argmax behind every function
+    above.  It walks [src]'s row of [q] and [dst]'s row of [seen]
+    together, both ascending by destination, reading them as fields, and
+    allocates nothing, so the engines call it in their step loop. *)
 
 (** Deriving the paper's parameter settings from an optimal schedule's
     characteristics. *)

@@ -83,10 +83,6 @@ module Sparse = struct
       if delta <> 0 then insert_at t v (lnot i) k delta;
       delta
     end
-
-  let row_length t v = t.len.(v)
-  let row_keys t v = t.key.(v)
-  let row_values t v = t.value.(v)
 end
 
 type t = {

@@ -12,7 +12,18 @@
     growable parallel int arrays, values never 0.  The engine reuses them
     for advertised heights and anycast group membership. *)
 module Sparse : sig
-  type t
+  type t = private {
+    key : int array array;
+        (** [key.(v)] is row [v]'s key array: its first [len.(v)] entries
+            are the live keys, strictly ascending.  A later insertion may
+            replace the array, so read it afresh after any write. *)
+    value : int array array;  (** The values parallel to [key], never 0. *)
+    len : int array;  (** Live entries per row. *)
+  }
+  (** Rows are read as fields, so a per-element loop in another module
+      indexes arrays instead of calling an accessor (the library builds
+      with [-opaque] in the dev profile, so no call inlines across
+      modules); only the functions below build or write them. *)
 
   val create : int -> t
   (** [create n] makes [n] empty rows. *)
@@ -34,17 +45,6 @@ module Sparse : sig
   (** [update t v k delta] adds [delta] to the stored value (0 when
       absent), removes the entry if the result is 0, and returns the new
       value. *)
-
-  val row_length : t -> int -> int
-  (** Live entries in a row. *)
-
-  val row_keys : t -> int -> int array
-  (** Row [v]'s key array, for reading only: its first [row_length t v]
-      entries are the live keys, strictly ascending.  A later insertion
-      may replace the array, so read it afresh after any write. *)
-
-  val row_values : t -> int -> int array
-  (** The values parallel to {!row_keys}, for reading only. *)
 end
 
 type t

@@ -47,8 +47,13 @@ let cost_ratio s (opt : Workload.opt_stats) =
    creation, then whatever the flushes invalidate. *)
 module Cache = struct
   type t = {
-    graph : Graph.t;
-    buffers : Buffers.t;
+    (* The graph's own endpoint arrays and CSR incidence, not copies: the
+       loops below index them instead of calling [Graph] per edge. *)
+    lower : int array;  (* edge e's endpoint u *)
+    upper : int array;  (* and its endpoint v *)
+    inc_off : int array;  (* node v's incident edges: inc_edge.(inc_off.(v) ..) *)
+    inc_edge : int array;
+    heights : Sparse.t;  (* the live buffer heights a sender decides on *)
     seen : Sparse.t;  (* the neighbour heights a sender decides against *)
     params : Balancing.params;
     edge_cost : float array;
@@ -66,8 +71,11 @@ module Cache = struct
   let create ~eager ~graph ~buffers ~seen ~params ~edge_cost =
     let m = Graph.num_edges graph in
     {
-      graph;
-      buffers;
+      lower = Graph.edge_us graph;
+      upper = Graph.edge_vs graph;
+      inc_off = Graph.incidence_offsets graph;
+      inc_edge = Graph.incidence_edges graph;
+      heights = Buffers.heights buffers;
       seen;
       params;
       edge_cost;
@@ -97,8 +105,8 @@ module Cache = struct
     for i = c.dirty_count - 1 downto 0 do
       let v = c.dirty.(i) in
       c.node_dirty.(v) <- false;
-      for j = 0 to Graph.degree c.graph v - 1 do
-        let id = Graph.incident_edge c.graph v j in
+      for j = c.inc_off.(v) to c.inc_off.(v + 1) - 1 do
+        let id = c.inc_edge.(j) in
         if c.valid.(id) then begin
           c.valid.(id) <- false;
           if c.eager then begin
@@ -111,10 +119,10 @@ module Cache = struct
     c.dirty_count <- 0
 
   let refresh c e =
-    let u = Graph.edge_u c.graph e and v = Graph.edge_v c.graph e in
-    Balancing.best_into c.buffers c.seen c.params ~costs:c.edge_cost ~edge:e ~src:u ~dst:v
+    let u = c.lower.(e) and v = c.upper.(e) in
+    Balancing.best_into c.heights c.seen c.params ~costs:c.edge_cost ~edge:e ~src:u ~dst:v
       ~dests:c.dest ~gains:c.gain (2 * e);
-    Balancing.best_into c.buffers c.seen c.params ~costs:c.edge_cost ~edge:e ~src:v ~dst:u
+    Balancing.best_into c.heights c.seen c.params ~costs:c.edge_cost ~edge:e ~src:v ~dst:u
       ~dests:c.dest ~gains:c.gain ((2 * e) + 1);
     c.valid.(e) <- true
 
@@ -152,10 +160,10 @@ module Cache = struct
     else f
 
   let sender c code =
-    if code land 1 = 0 then Graph.edge_u c.graph (code lsr 1) else Graph.edge_v c.graph (code lsr 1)
+    if code land 1 = 0 then c.lower.(code lsr 1) else c.upper.(code lsr 1)
 
   let receiver c code =
-    if code land 1 = 0 then Graph.edge_v c.graph (code lsr 1) else Graph.edge_u c.graph (code lsr 1)
+    if code land 1 = 0 then c.upper.(code lsr 1) else c.lower.(code lsr 1)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -10,9 +10,13 @@
     is the MST of a collinear set, which has no triangle.  So every input
     takes the same path, with O(n) candidates and no all-pairs step.
 
-    The candidates — three per triangle, then the chain — go into flat
-    endpoint and length arrays for {!Adhoc_graph.Mst.kruskal}: no
-    candidate list and no boxed (u, v, length) tuple. *)
+    The candidates — each triangle edge once, at its first occurrence
+    (two counting passes drop the second copy of every interior edge),
+    then the chain — go into flat endpoint and length arrays for
+    {!Adhoc_graph.Mst.kruskal}: no candidate list, no boxed
+    (u, v, length) tuple and no boxed length.  The chain's order comes
+    from {!Adhoc_graph.Mst.ascending} over the flat coordinate arrays,
+    by y and then by x, with no comparison closure. *)
 
 val build : Adhoc_geom.Point.t array -> Adhoc_graph.Graph.t
 (** A minimum spanning tree (forest, for fewer than two distinct points)

@@ -190,6 +190,74 @@ let test_grid_within_matches_brute =
       let r = Prng.range rng 0.01 0.8 in
       List.sort compare (Spatial_grid.indices_within grid p r) = brute_within points p r)
 
+(* The ring scan [fold_within] ran before it scanned a box, kept as the
+   reference for its order: every cell within 1 + ceil (r / cell) rings of
+   [p]'s cell, row-major, each in slot order, consed like
+   [indices_within]. *)
+let ring_within grid (p : Point.t) r =
+  let r2 = r *. r in
+  let span = 1 + int_of_float (Float.ceil (r /. Spatial_grid.cell_size grid)) in
+  (* [column] and [row] clamp, so a coordinate far past the unit-square
+     sets these tests use names the last column and row. *)
+  let last_col = Spatial_grid.column grid 1e15 and last_row = Spatial_grid.row grid 1e15 in
+  let col0 = Spatial_grid.column grid p.Point.x and row0 = Spatial_grid.row grid p.Point.y in
+  let ids = Spatial_grid.slot_ids grid in
+  let xs = Spatial_grid.slot_xs grid and ys = Spatial_grid.slot_ys grid in
+  let acc = ref [] in
+  for row = max 0 (row0 - span) to min last_row (row0 + span) do
+    for col = max 0 (col0 - span) to min last_col (col0 + span) do
+      for k = Spatial_grid.cell_lo grid ~col ~row to Spatial_grid.cell_hi grid ~col ~row - 1 do
+        let dx = xs.(k) -. p.Point.x and dy = ys.(k) -. p.Point.y in
+        if (dx *. dx) +. (dy *. dy) <= r2 then acc := ids.(k) :: !acc
+      done
+    done
+  done;
+  !acc
+
+(* Random sets, plus points at distance exactly [r] from the query along
+   each axis and one ulp either side of it, queried at [r] and one ulp
+   either side, on a grid whose cell is [r] (as [Udg] builds it) or a
+   random size. *)
+let test_grid_box_matches_ring =
+  qtest "indices_within = ring scan, order included" ~count:300 seed_gen (fun seed ->
+      let rng = Prng.create seed in
+      let p = pt (Prng.uniform rng) (Prng.uniform rng) in
+      let r = Prng.range rng 0.01 0.5 in
+      let edge x = [ x; Float.succ x; Float.pred x ] in
+      let rim =
+        List.concat_map
+          (fun x -> [ pt x p.Point.y ])
+          (edge (p.Point.x +. r) @ edge (p.Point.x -. r))
+        @ List.concat_map
+            (fun y -> [ pt p.Point.x y ])
+            (edge (p.Point.y +. r) @ edge (p.Point.y -. r))
+      in
+      let points = Array.append (points_of_seed ~min_n:2 ~max_n:60 seed) (Array.of_list rim) in
+      let cells = [ r; Prng.range rng 0.02 0.5 ] in
+      List.for_all
+        (fun cell ->
+          let grid = Spatial_grid.build ~cell points in
+          List.for_all
+            (fun q ->
+              List.for_all
+                (fun r -> Spatial_grid.indices_within grid q r = ring_within grid q r)
+                (edge r @ [ r *. (1. +. 1e-9) ]))
+            (p :: Array.to_list points))
+        cells)
+
+(* A radius whose offset in cells passes the int range, or whose square
+   overflows, still covers the whole grid. *)
+let test_grid_huge_radius () =
+  let points = points_of_seed ~min_n:20 ~max_n:40 5 in
+  let grid = Spatial_grid.build ~cell:0.05 points in
+  List.iter
+    (fun r ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "every point within %g" r)
+        (brute_within points (pt 0.5 0.5) r)
+        (List.sort compare (Spatial_grid.indices_within grid (pt 0.5 0.5) r)))
+    [ 1e18; 1e150; 1e160; infinity ]
+
 let brute_nearest_other points i =
   let best = ref None in
   Array.iteri
@@ -401,8 +469,10 @@ let () =
       ( "spatial_grid",
         [
           test_grid_within_matches_brute;
+          test_grid_box_matches_ring;
           test_grid_nearest_matches_brute;
           case "single point" test_grid_single_point;
+          case "huge radius" test_grid_huge_radius;
           test_grid_query_includes_self;
         ] );
       ( "segment",

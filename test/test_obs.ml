@@ -676,6 +676,59 @@ let test_invariants_final_check () =
     ~total_cost:(1.5 +. 1e-12) ~remaining:0;
   Alcotest.(check bool) "energy compared bit-for-bit" false (Invariants.ok c)
 
+(* Anycast keys a packet for group g as n + g and absorbs it at any
+   member, so the checker takes the run's absorption rule: on the line
+   0-1-2-3-4 with group {0, 4}, an injection at member 0 is absorbed at
+   once and the other two packets are delivered one hop away. *)
+let group_line = Graph.of_edges ~n:5 [ (0, 1, 1.); (1, 2, 1.); (2, 3, 1.); (3, 4, 1.) ]
+let group_members = [| [| 0; 4 |] |]
+
+let group_absorbs ~node ~dest = dest >= 5 && Array.mem node group_members.(dest - 5)
+
+let test_invariants_group_run () =
+  let log = Event.create () in
+  let checker = Invariants.create ~endpoints:(Graph.endpoints group_line) ~absorbs:group_absorbs () in
+  Invariants.attach checker log;
+  let s =
+    Engine.run ~obs:(Obs.create ~events:log ()) ~who:"test"
+      ~params:(Balancing.params ~threshold:0. ~gamma:0. ~capacity:10)
+      ~heights:Engine.Live
+      ~absorb:(Engine.Group { members = group_members; absorbed = Array.make 5 0 })
+      ~injections:(fun t -> if t = 0 then [ (1, 0); (3, 0); (0, 0) ] else [])
+      [
+        {
+          Engine.graph = group_line;
+          cost = Cost.length;
+          activation = Engine.Rounds None;
+          steps = 25;
+          epoch = None;
+        };
+      ]
+  in
+  Alcotest.(check int) "all three delivered" 3 s.Engine.delivered;
+  Invariants.final_check checker ~injected:s.Engine.injected ~dropped:s.Engine.dropped
+    ~delivered:s.Engine.delivered ~sends:s.Engine.sends ~failed_sends:s.Engine.failed_sends
+    ~total_cost:s.Engine.total_cost ~remaining:s.Engine.remaining;
+  Alcotest.(check string) "group run" "invariants ok (8 events checked)"
+    (Invariants.report checker)
+
+let test_invariants_group_non_member () =
+  let log =
+    [|
+      Event.Inject { step = 0; src = 1; dst = 5; admitted = true };
+      Event.Send
+        { step = 1; edge = 1; src = 1; dst = 2; dest = 5; cost = 1.; outcome = Event.Delivered };
+      Event.Deliver { step = 1; dst = 5; self = false };
+    |]
+  in
+  match Invariants.run ~absorbs:group_absorbs log with
+  | [ v ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "names the non-member (got %S)" v.Invariants.reason)
+        true
+        (contains v.Invariants.reason "dst 2 is not the destination 5")
+  | vs -> Alcotest.failf "expected exactly 1 violation, got %d" (List.length vs)
+
 let test_invariants_cap () =
   let log =
     List.init 200 (fun i -> Event.Deliver { step = i; dst = 0; self = false })
@@ -1337,6 +1390,8 @@ let () =
           case "inactive edge" test_invariants_edge_active;
           case "final stats reconciliation" test_invariants_final_check;
           case "violation cap" test_invariants_cap;
+          case "group run absorbs at members" test_invariants_group_run;
+          case "group delivery at a non-member" test_invariants_group_non_member;
         ] );
       ( "engine events",
         [

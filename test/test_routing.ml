@@ -40,11 +40,11 @@ let test_buffers_force_add () =
   Buffers.force_add b 1 1;
   Alcotest.(check int) "destination absorbs" 0 (Buffers.height b 1 1)
 
-(* Row [v] of [s] as (key, value) pairs, read through the accessors the
-   step kernel uses. *)
-let sparse_row s v =
-  let keys = Buffers.Sparse.row_keys s v and values = Buffers.Sparse.row_values s v in
-  List.init (Buffers.Sparse.row_length s v) (fun i -> (keys.(i), values.(i)))
+(* Row [v] of [s] as (key, value) pairs, read through the fields the
+   step kernel reads. *)
+let sparse_row (s : Buffers.Sparse.t) v =
+  let keys = s.key.(v) and values = s.value.(v) in
+  List.init s.len.(v) (fun i -> (keys.(i), values.(i)))
 
 let test_buffers_nonzero_iteration =
   qtest "height rows list exactly the non-empty buffers" ~count:100 seed_gen (fun seed ->
@@ -198,7 +198,7 @@ let test_sparse_matrix_oracle =
         let nonzero =
           Array.fold_left (fun a x -> if x <> 0 then a + 1 else a) 0 reference.(v)
         in
-        if Buffers.Sparse.row_length s v <> nonzero then ok := false;
+        if s.Buffers.Sparse.len.(v) <> nonzero then ok := false;
         let row = sparse_row s v in
         let last = ref (-1) in
         List.iter
