@@ -103,7 +103,8 @@ let e13 () =
           let points = Pointset.Generators.uniform rng 256 in
           let range = 1.5 *. Topo.Udg.critical_range points in
           let gstar = Topo.Udg.build ~range points in
-          let ov, stats = Topo.Theta_protocol.run ~theta ~range points in
+          let alg = Topo.Theta_alg.build ~theta ~range points in
+          let ov = Topo.Theta_alg.overlay alg in
           let conflict = Conflict.build (Model.make ~delta:0.5) ~points ov in
           deg := !deg +. float_of_int (Graph.max_degree ov);
           edges := !edges +. float_of_int (Graph.num_edges ov);
@@ -113,13 +114,10 @@ let e13 () =
                  ~cost:(Cost.energy ~kappa:2.) ();
           ds := !ds +. Graphs.Stretch.over_base_edges ~sub:ov ~base:gstar ~cost:Cost.length ();
           inum := !inum +. float_of_int (Conflict.interference_number conflict);
+          let m = Topo.Theta_alg.messages alg in
           msgs :=
             !msgs
-            +. float_of_int
-                 (stats.Topo.Theta_protocol.position_msgs
-                 + stats.Topo.Theta_protocol.neighborhood_msgs
-                 + stats.Topo.Theta_protocol.connection_msgs)
-               /. 256.)
+            +. float_of_int Topo.Theta_alg.(m.position + m.neighborhood + m.connection) /. 256.)
         (seeds k);
       let f x = x /. float_of_int k in
       Table.add_row t

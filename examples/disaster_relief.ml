@@ -45,7 +45,8 @@ let () =
     let pts = Pointset.Mobility.positions mobility in
     let range = 1.4 *. Topo.Udg.critical_range pts in
     let gstar = Topo.Udg.build ~range pts in
-    let overlay, msgs = Topo.Theta_protocol.run ~theta ~range pts in
+    let alg = Topo.Theta_alg.build ~theta ~range pts in
+    let overlay = Topo.Theta_alg.overlay alg in
     let edges =
       Graph.fold_edges overlay ~init:[] ~f:(fun acc _ e -> (e.Graph.u, e.Graph.v) :: acc)
       |> List.sort compare
@@ -63,10 +64,8 @@ let () =
     in
     prev_edges := edges;
     let msgs_per_node =
-      float_of_int
-        (msgs.Topo.Theta_protocol.position_msgs
-        + msgs.Topo.Theta_protocol.neighborhood_msgs
-        + msgs.Topo.Theta_protocol.connection_msgs)
+      let m = Topo.Theta_alg.messages alg in
+      float_of_int Topo.Theta_alg.(m.position + m.neighborhood + m.connection)
       /. float_of_int (Array.length pts)
     in
     Table.add_row t

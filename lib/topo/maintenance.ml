@@ -11,45 +11,6 @@ type t = {
   mutable last_affected : int;
 }
 
-let select_one t u =
-  let sectors = Sector.count t.theta in
-  let best = Array.make sectors (-1) in
-  Array.iteri
-    (fun v p ->
-      if v <> u && Point.dist t.points.(u) p <= t.range then begin
-        let s = Sector.index ~theta:t.theta ~apex:t.points.(u) p in
-        if best.(s) = -1 || Yao.closer t.points u v best.(s) then best.(s) <- v
-      end)
-    t.points;
-  Array.to_list best |> List.filter (fun v -> v >= 0) |> List.sort_uniq Int.compare |> Array.of_list
-
-let admit_one t v =
-  (* Selectors of v within range, grouped per sector; keep the nearest. *)
-  let sectors = Sector.count t.theta in
-  let best = Array.make sectors (-1) in
-  Array.iteri
-    (fun u _ ->
-      if u <> v && Array.exists (fun w -> w = v) t.selections.(u) then begin
-        let s = Sector.index ~theta:t.theta ~apex:t.points.(v) t.points.(u) in
-        if best.(s) = -1 || Yao.closer t.points v u best.(s) then best.(s) <- u
-      end)
-    t.points;
-  let acc = ref [] in
-  for s = sectors - 1 downto 0 do
-    if best.(s) >= 0 then acc := (best.(s), s) :: !acc
-  done;
-  !acc
-
-let rebuild_graph t =
-  let b = Graph.Builder.create (Array.length t.points) in
-  Array.iteri
-    (fun u vs ->
-      List.iter
-        (fun (v, _) -> Graph.Builder.add_edge b u v (Point.dist t.points.(u) t.points.(v)))
-        vs)
-    t.admitted;
-  t.graph <- Graph.Builder.build b
-
 let create ~theta ~range points =
   let alg = Theta_alg.build ~theta ~range points in
   let t =
@@ -85,8 +46,14 @@ let move t i new_pos =
       if u <> i && (Point.dist p old_pos <= t.range || Point.dist p new_pos <= t.range) then
         affected_select.(u) <- true)
     t.points;
+  let every_node consider =
+    for v = 0 to n - 1 do
+      consider v
+    done
+  in
   for u = 0 to n - 1 do
-    if affected_select.(u) then t.selections.(u) <- select_one t u
+    if affected_select.(u) then
+      t.selections.(u) <- Yao.select ~theta:t.theta ~range:t.range t.points u every_node
   done;
   (* Nodes whose selector set may have changed: within range of any
      re-selected node (at either endpoint of its move radius). *)
@@ -104,11 +71,15 @@ let move t i new_pos =
   let count = ref 0 in
   for v = 0 to n - 1 do
     if affected_admit.(v) then begin
-      t.admitted.(v) <- admit_one t v;
+      let selectors = ref [] in
+      for u = 0 to n - 1 do
+        if Array.exists (fun w -> w = v) t.selections.(u) then selectors := u :: !selectors
+      done;
+      t.admitted.(v) <- Theta_alg.admit ~theta:t.theta t.points v !selectors;
       incr count
     end
   done;
   t.last_affected <- !count;
-  rebuild_graph t
+  t.graph <- Theta_alg.assemble t.points t.admitted
 
 let last_affected t = t.last_affected

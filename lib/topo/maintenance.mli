@@ -5,8 +5,9 @@
     depend only on nodes within transmission range, and phase-2 admissions
     only on selectors within range, a position change can only affect
     nodes within [2 × range] of the old and new positions.  This module
-    re-runs the algorithm on exactly that affected set and splices the
-    result into the previous overlay.
+    re-runs ΘALG's two per-node steps ({!Yao.select}, {!Theta_alg.admit})
+    on exactly that affected set and reassembles the overlay from the
+    admitted lists ({!Theta_alg.assemble}).
 
     The incremental result is identical to a full rebuild (tested); the
     point is the accounting: [last_affected] exposes how many nodes were

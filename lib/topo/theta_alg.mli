@@ -1,10 +1,22 @@
 (** ΘALG — the paper's topology-control algorithm (Section 2.1), producing
     the overlay 𝒩.
 
-    Phase 1 builds the Yao selections [N(u)] (see {!Yao}).  Phase 2 is the
-    local degree-reduction step: every node [u] *admits* at most one
-    incoming selection edge per sector — the shortest one — and an edge
-    [(u,v)] survives into 𝒩 iff at least one endpoint admits it.
+    Phase 1 builds the Yao selections [N(u)] (see {!Yao.select}).  Phase 2
+    is the local degree-reduction step: every node [u] *admits* at most
+    one incoming selection edge per sector — the shortest one — and an
+    edge [(u,v)] survives into 𝒩 iff at least one endpoint admits it.
+
+    The paper notes the algorithm runs in three rounds of local
+    broadcasting:
+    + every node broadcasts its position at maximum power;
+    + every node [u] tells each [v ∈ N(u)] that it selected it;
+    + every node sends a connection message to the nearest selector per
+      sector (the admission step); 𝒩 keeps an edge for every pair that
+      exchanged a connection message.
+
+    Each phase reads only what its round delivers: [N(u)] the positions
+    of nodes within range, and [u]'s admission the selectors that chose
+    [u].  {!messages} counts the three rounds on a build.
 
     Guarantees reproduced by the experiments:
     - 𝒩 is connected whenever G* is, with degree ≤ [4π/θ] (Lemma 2.1);
@@ -27,7 +39,26 @@ val build : ?pool:Adhoc_util.Pool.t -> theta:float -> range:float -> Adhoc_geom.
     [?pool] parallelizes both phases' per-node loops; the result is
     bit-identical for any pool size. *)
 
+val admit : theta:float -> Adhoc_geom.Point.t array -> int -> int list -> (int * int) list
+(** [admit ~theta points u selectors] is node [u]'s phase-2 step: per
+    sector of [u], the selector nearest to [u] under {!Yao.closer}, as
+    [(v, sector)] pairs in ascending sector.  [selectors] are the nodes
+    [v] with [u ∈ N(v)], in any order. *)
+
+val assemble : Adhoc_geom.Point.t array -> (int * int) list array -> Adhoc_graph.Graph.t
+(** [assemble points admitted] is the overlay 𝒩 of the admitted lists:
+    edges inserted admitter-major, node [u]'s in its list's order. *)
+
 val overlay : t -> Adhoc_graph.Graph.t
+
+type messages = {
+  position : int;  (** round 1: one broadcast per node, [n] *)
+  neighborhood : int;  (** round 2: one unicast per selection, [Σ_u |N(u)|] *)
+  connection : int;  (** round 3: one unicast per admission, [Σ_u |admitted(u)|] *)
+}
+
+val messages : t -> messages
+(** The messages the three rounds send on this build. *)
 
 val degree_bound : theta:float -> int
 (** Lemma 2.1's bound [4π/θ], rounded up: admitted in-edges plus surviving

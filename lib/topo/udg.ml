@@ -5,7 +5,7 @@ let build ?pool ~range points =
   if range < 0. then invalid_arg "Udg.build: negative range";
   let n = Array.length points in
   let b = Graph.Builder.create n in
-  if n > 1 && range > 0. then begin
+  if n > 1 && Float.is_finite range && range > 0. then begin
     (* Query slightly wide (the grid pre-filters on squared distance, which
        can round an exactly-range-length edge away), then test exactly. *)
     let query = range *. (1. +. 1e-9) in
@@ -21,7 +21,16 @@ let build ?pool ~range points =
     let adj = Shard.map_nodes ?pool ~label:"udg" ~range points ~f:neighbors in
     (* Sequential merge in node order: edge ids match the sequential build. *)
     Array.iteri (fun u vs -> List.iter (fun (v, d) -> Graph.Builder.add_edge b u v d) vs) adj
-  end;
+  end
+  else
+    (* [Shard.map_nodes] needs a positive, finite range: at range 0 (only
+       coincident nodes meet) or infinity, scan every pair. *)
+    for u = 0 to n - 1 do
+      for v = u + 1 to n - 1 do
+        let d = Point.dist points.(u) points.(v) in
+        if d <= range then Graph.Builder.add_edge b u v d
+      done
+    done;
   Graph.Builder.build b
 
 let critical_range points = Euclidean_mst.longest_edge points

@@ -13,6 +13,19 @@ val closer : Adhoc_geom.Point.t array -> int -> int -> int -> bool
     the (distance, index) tie-breaking order.  The shared order used by both
     phases of ΘALG. *)
 
+val select :
+  theta:float ->
+  range:float ->
+  Adhoc_geom.Point.t array ->
+  int ->
+  ((int -> unit) -> unit) ->
+  int array
+(** [select ~theta ~range points u iter_candidates] is node [u]'s phase-1
+    step, [N(u)] in ascending node order.  [iter_candidates consider] must
+    call [consider v] for every node [v] within [range] of [u], in any
+    order; [select] skips [u] itself and every node out of range.  The
+    arguments are not checked ({!selections} checks them). *)
+
 val selections :
   ?pool:Adhoc_util.Pool.t -> theta:float -> range:float -> Adhoc_geom.Point.t array -> int array array
 (** [selections ~theta ~range points] returns [N]: [N.(u)] lists the nodes

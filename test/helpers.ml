@@ -28,6 +28,13 @@ let edge_set g =
       (e.Adhoc_graph.Graph.u, e.Adhoc_graph.Graph.v) :: acc)
   |> List.sort compare
 
+(* A graph bit for bit: node count, then every edge's id, endpoints and
+   length (never nan), so polymorphic equality is exact. *)
+let graph_digest g =
+  ( Adhoc_graph.Graph.n g,
+    Adhoc_graph.Graph.fold_edges g ~init:[] ~f:(fun acc id e ->
+        (id, e.Adhoc_graph.Graph.u, e.Adhoc_graph.Graph.v, e.Adhoc_graph.Graph.len) :: acc) )
+
 let case name f = Alcotest.test_case name `Quick f
 
 (* CI matrix knob: tests that exercise ?pool kernels run them with this

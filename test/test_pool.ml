@@ -5,7 +5,6 @@
 
 open Helpers
 module Pool = Adhoc_util.Pool
-module Graph = Adhoc_graph.Graph
 module Topo = Adhoc_topo
 module Point = Adhoc_geom.Point
 
@@ -124,20 +123,13 @@ let test_jobs_clamped () =
 (* ------------------------------------------------------------------ *)
 (* Jobs-invariance: parallel ≡ sequential, bit-identical               *)
 
-(* Full structural digest: ids, endpoints and float lengths (never nan),
-   so polymorphic equality is bit-exact. *)
-let digest g =
-  ( Graph.n g,
-    Graph.fold_edges g ~init:[] ~f:(fun acc id e ->
-        (id, e.Graph.u, e.Graph.v, e.Graph.len) :: acc) )
-
 let check_graph_invariant name build =
   qtest name ~count:30 seed_gen (fun seed ->
       let points = points_of_seed seed in
-      let reference = digest (build None points) in
+      let reference = graph_digest (build None points) in
       List.for_all
         (fun jobs ->
-          Pool.with_pool ~jobs (fun p -> digest (build (Some p) points) = reference))
+          Pool.with_pool ~jobs (fun p -> graph_digest (build (Some p) points) = reference))
         jobs_sweep)
 
 let range_of points = Float.max 1e-6 (Topo.Udg.critical_range points) *. 1.2
@@ -150,9 +142,6 @@ let graph_kernels =
     ( "theta-alg overlay",
       fun pool points ->
         Topo.Theta_alg.overlay (Topo.Theta_alg.build ?pool ~theta ~range:(range_of points) points)
-    );
-    ( "theta-protocol",
-      fun pool points -> fst (Topo.Theta_protocol.run ?pool ~theta ~range:(range_of points) points)
     );
     ("udg", fun pool points -> Topo.Udg.build ?pool ~range:(range_of points) points);
     ("gabriel", fun pool points -> Topo.Gabriel.build ?pool points);
@@ -172,15 +161,22 @@ let test_selections_invariant =
           Pool.with_pool ~jobs (fun p -> Topo.Yao.selections ~pool:p ~theta ~range points = reference))
         jobs_sweep)
 
-let test_protocol_stats_invariant =
-  qtest "theta-protocol stats jobs-invariant" ~count:30 seed_gen (fun seed ->
+(* The whole build: both phases' per-node lists, the overlay and the
+   three rounds' message counts. *)
+let test_theta_alg_build_invariant =
+  qtest "theta-alg build jobs-invariant" ~count:30 seed_gen (fun seed ->
       let points = points_of_seed seed in
       let range = range_of points in
-      let _, reference = Topo.Theta_protocol.run ~theta ~range points in
+      let summary pool =
+        let alg = Topo.Theta_alg.build ?pool ~theta ~range points in
+        ( alg.Topo.Theta_alg.selections,
+          alg.Topo.Theta_alg.admitted,
+          graph_digest (Topo.Theta_alg.overlay alg),
+          Topo.Theta_alg.messages alg )
+      in
+      let reference = summary None in
       List.for_all
-        (fun jobs ->
-          Pool.with_pool ~jobs (fun p ->
-              snd (Topo.Theta_protocol.run ~pool:p ~theta ~range points) = reference))
+        (fun jobs -> Pool.with_pool ~jobs (fun p -> summary (Some p) = reference))
         jobs_sweep)
 
 let test_cbtc_radii_invariant =
@@ -260,10 +256,11 @@ let test_knn_vs_brute =
       let points = points_of_seed seed in
       List.for_all
         (fun k ->
-          digest (Topo.Knn.build ~k points) = digest (Topo.Knn.build_brute ~k points)
+          graph_digest (Topo.Knn.build ~k points) = graph_digest (Topo.Knn.build_brute ~k points)
           &&
           let range = range_of points in
-          digest (Topo.Knn.build ~range ~k points) = digest (Topo.Knn.build_brute ~range ~k points))
+          graph_digest (Topo.Knn.build ~range ~k points)
+          = graph_digest (Topo.Knn.build_brute ~range ~k points))
         [ 1; 3; 7 ])
 
 let test_cbtc_vs_brute =
@@ -310,7 +307,7 @@ let () =
         List.map (fun (name, b) -> check_graph_invariant (name ^ " jobs-invariant") b) graph_kernels
         @ [
             test_selections_invariant;
-            test_protocol_stats_invariant;
+            test_theta_alg_build_invariant;
             test_cbtc_radii_invariant;
             test_all_pairs_invariant;
             test_stretch_invariant;

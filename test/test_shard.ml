@@ -18,10 +18,6 @@ let range = 0.04
 
 let big_points seed = Adhoc_pointset.Generators.uniform (Prng.create seed) big_n
 
-let digest g =
-  Graph.fold_edges g ~init:[] ~f:(fun acc id e ->
-      (id, e.Graph.u, e.Graph.v, e.Graph.len) :: acc)
-
 (* ------------------------------------------------------------------ *)
 (* map_nodes vs the global grid                                        *)
 
@@ -97,17 +93,16 @@ let test_udg_tiled_matches_brute () =
   let tiled = Udg.build ~range points in
   let brute = brute_udg points range in
   Alcotest.(check int) "num_edges" (Graph.num_edges brute) (Graph.num_edges tiled);
-  if digest tiled <> digest brute then Alcotest.fail "tiled UDG differs from brute oracle"
+  if graph_digest tiled <> graph_digest brute then Alcotest.fail "tiled UDG differs from brute oracle"
 
 let test_constructions_jobs_invariant_tiled () =
   let points = big_points 7 in
   let theta = Float.pi /. 3. in
   let builds pool =
     [
-      digest (Udg.build ?pool ~range points);
-      digest (Yao.graph ?pool ~theta ~range points);
-      digest (Theta_alg.overlay (Theta_alg.build ?pool ~theta ~range points));
-      digest (fst (Theta_protocol.run ?pool ~theta ~range points));
+      graph_digest (Udg.build ?pool ~range points);
+      graph_digest (Yao.graph ?pool ~theta ~range points);
+      graph_digest (Theta_alg.overlay (Theta_alg.build ?pool ~theta ~range points));
     ]
   in
   let sequential = builds None in

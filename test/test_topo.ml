@@ -45,6 +45,21 @@ let test_udg_zero_range () =
   let points = [| Point.origin; Point.make 1. 0. |] in
   Alcotest.(check int) "no edges" 0 (Graph.num_edges (Udg.build ~range:0. points))
 
+(* Three repeats of one point: their critical range is 0, and at
+   distance 0 <= 0 they are pairwise adjacent. *)
+let coincident = Array.make 3 (Point.make 0.5 0.5)
+
+let test_udg_coincident_zero_range () =
+  let range = Udg.critical_range coincident in
+  check_close "critical range" 0. range;
+  let gstar = Udg.build ~range coincident in
+  Alcotest.(check int) "complete" 3 (Graph.num_edges gstar);
+  Alcotest.(check bool) "connected" true (Components.is_connected gstar)
+
+let test_udg_infinite_range () =
+  let points = [| Point.origin; Point.make 1. 0.; Point.make 0. 7. |] in
+  Alcotest.(check int) "complete" 3 (Graph.num_edges (Udg.build ~range:infinity points))
+
 (* ------------------------------------------------------------------ *)
 (* Yao                                                                 *)
 
@@ -163,6 +178,14 @@ let test_theta_admitted_are_selectors =
         alg.Theta_alg.admitted;
       !ok)
 
+let test_theta_chain_coincident () =
+  let range = Udg.critical_range coincident in
+  let gstar = Udg.build ~range coincident in
+  let yao = Yao.graph ~theta:theta_default ~range coincident in
+  let ov = Theta_alg.overlay (Theta_alg.build ~theta:theta_default ~range coincident) in
+  Alcotest.(check bool) "overlay ⊆ Yao graph" true (Graph.is_subgraph ov yao);
+  Alcotest.(check bool) "Yao graph ⊆ G*" true (Graph.is_subgraph yao gstar)
+
 let test_theta_empty_and_tiny () =
   let alg = Theta_alg.build ~theta:theta_default ~range:1. [| Point.origin |] in
   Alcotest.(check int) "singleton" 0 (Graph.num_edges (Theta_alg.overlay alg));
@@ -175,23 +198,22 @@ let test_degree_bound_value () =
   Alcotest.(check int) "4pi/theta at pi/3" 12 (Theta_alg.degree_bound ~theta:(Float.pi /. 3.))
 
 (* ------------------------------------------------------------------ *)
-(* Theta_protocol                                                      *)
-
-let test_protocol_equals_direct =
-  qtest "3-round protocol = direct construction" ~count:60 seed_gen (fun seed ->
-      let points, range = instance seed in
-      let alg = Theta_alg.build ~theta:theta_default ~range points in
-      let g, _ = Theta_protocol.run ~theta:theta_default ~range points in
-      edge_set g = edge_set (Theta_alg.overlay alg))
+(* The three rounds of Section 2.1, counted on the build                *)
 
 let test_protocol_message_counts =
   qtest "message counts consistent" ~count:30 seed_gen (fun seed ->
       let points, range = instance seed in
       let n = Array.length points in
-      let g, stats = Theta_protocol.run ~theta:theta_default ~range points in
-      stats.Theta_protocol.position_msgs = n
-      && stats.Theta_protocol.neighborhood_msgs <= n * Sector.count theta_default
-      && stats.Theta_protocol.connection_msgs >= Graph.num_edges g)
+      let alg = Theta_alg.build ~theta:theta_default ~range points in
+      let m = Theta_alg.messages alg in
+      let edges = Graph.num_edges (Theta_alg.overlay alg) in
+      (* An edge is admitted by one endpoint or both, and only a selector
+         is admitted. *)
+      m.Theta_alg.position = n
+      && m.Theta_alg.neighborhood <= n * Sector.count theta_default
+      && m.Theta_alg.connection >= edges
+      && m.Theta_alg.connection <= 2 * edges
+      && m.Theta_alg.connection <= m.Theta_alg.neighborhood)
 
 (* ------------------------------------------------------------------ *)
 (* Proximity-graph baselines                                           *)
@@ -707,7 +729,9 @@ let test_maintenance_matches_rebuild =
         let full =
           Theta_alg.overlay (Theta_alg.build ~theta:theta_default ~range (Maintenance.points m))
         in
-        if edge_set full <> edge_set (Maintenance.overlay m) then ok := false
+        (* Bit for bit, edge ids included: ids follow the admitted lists'
+           order. *)
+        if graph_digest full <> graph_digest (Maintenance.overlay m) then ok := false
       done;
       !ok)
 
@@ -750,7 +774,6 @@ let test_degenerate_totality () =
       check "udg zero range" (Udg.build ~range:0. points);
       check "yao" (Yao.graph ~theta ~range:1. points);
       check "theta-alg" (Theta_alg.overlay (Theta_alg.build ~theta ~range:1. points));
-      check "theta-protocol" (fst (Theta_protocol.run ~theta ~range:1. points));
       check "knn" (Knn.build ~k:2 points);
       check "gabriel" (Gabriel.build points);
       check "rng" (Rng_graph.build points);
@@ -772,8 +795,6 @@ let test_nonfinite_theta () =
           ignore (Sector.count theta));
       rejects "Yao.selections: theta must be positive and finite" (fun () ->
           ignore (Yao.selections ~theta ~range:1. points));
-      rejects "Theta_protocol.run: bad theta" (fun () ->
-          ignore (Theta_protocol.run ~theta ~range:1. points));
       rejects "Theta_alg.build: bad theta" (fun () ->
           ignore (Theta_alg.build ~theta ~range:1. points)))
     [ Float.nan; Float.infinity ]
@@ -786,6 +807,8 @@ let () =
           test_udg_matches_brute;
           test_critical_range_threshold;
           case "zero range" test_udg_zero_range;
+          case "coincident nodes at range 0" test_udg_coincident_zero_range;
+          case "infinite range" test_udg_infinite_range;
         ] );
       ( "yao",
         [
@@ -803,11 +826,11 @@ let () =
           test_theta_distance_stretch_civilized;
           test_theta_admitted_are_selectors;
           case "tiny instances" test_theta_empty_and_tiny;
+          case "chain on coincident nodes at range 0" test_theta_chain_coincident;
           case "degree bound values" test_degree_bound_value;
           case "non-finite theta rejected" test_nonfinite_theta;
         ] );
-      ( "protocol",
-        [ test_protocol_equals_direct; test_protocol_message_counts ] );
+      ("protocol", [ test_protocol_message_counts ]);
       ( "proximity",
         [
           test_proximity_chain;
