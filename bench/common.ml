@@ -105,6 +105,7 @@ let take_live () =
    member exactly across --jobs. *)
 let live_json l =
   let c = Obs.Live.finish l in
+  let t = c.Obs.Live.totals in
   let open Util.Json in
   let tops xs = Arr (List.map (fun (k, n, e) -> Arr [ int k; int n; int e ]) xs) in
   Obj
@@ -114,18 +115,18 @@ let live_json l =
       ("steps", int c.Obs.Live.steps);
       ("events", int c.Obs.Live.events);
       ("windows", int c.Obs.Live.windows);
-      ("injected", int c.Obs.Live.c_injected);
-      ("dropped", int c.Obs.Live.c_dropped);
-      ("delivered", int c.Obs.Live.c_delivered);
-      ("self", int c.Obs.Live.c_self_deliveries);
-      ("sends", int c.Obs.Live.c_sends);
-      ("collisions", int c.Obs.Live.c_collisions);
-      ("control", int c.Obs.Live.c_control);
-      ("buffered", int c.Obs.Live.c_buffered);
+      ("injected", int t.Obs.Mirror.injected);
+      ("dropped", int t.Obs.Mirror.dropped);
+      ("delivered", int t.Obs.Mirror.delivered);
+      ("self", int t.Obs.Mirror.self_deliveries);
+      ("sends", int t.Obs.Mirror.sends);
+      ("collisions", int t.Obs.Mirror.collisions);
+      ("control", int (t.Obs.Mirror.epochs + t.Obs.Mirror.height_adverts));
+      ("buffered", int t.Obs.Mirror.buffered);
       ("violations", int c.Obs.Live.c_violations);
       ("healthy", Bool c.Obs.Live.healthy);
-      ("anomalies", int c.Obs.Live.anomalies);
-      ("energy", float c.Obs.Live.energy);
+      ("anomalies", int t.Obs.Mirror.anomalies);
+      ("energy", float t.Obs.Mirror.energy);
       ("latency_mean", float c.Obs.Live.latency_mean);
       ("latency_p50", float c.Obs.Live.c_latency_p50);
       ("latency_p95", float c.Obs.Live.c_latency_p95);

@@ -62,12 +62,12 @@ let live_probe () =
   Table.print t;
   Printf.printf
     "cumulative: %d events in %d windows, delivered %d, healthy %s, latency p95 %s\n"
-    c.Obs.Live.events c.Obs.Live.windows c.Obs.Live.c_delivered
+    c.Obs.Live.events c.Obs.Live.windows c.Obs.Live.totals.Obs.Mirror.delivered
     (if c.Obs.Live.healthy then "yes" else "NO")
     (fmt_ratio c.Obs.Live.c_latency_p95);
   record_int "live:events" c.Obs.Live.events;
   record_int "live:windows" c.Obs.Live.windows;
-  record_int "live:delivered" c.Obs.Live.c_delivered;
+  record_int "live:delivered" c.Obs.Live.totals.Obs.Mirror.delivered;
   record_int "live:violations" c.Obs.Live.c_violations;
   record_live (live_json live)
 

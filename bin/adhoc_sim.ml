@@ -114,14 +114,15 @@ let print_live_summary l =
   Printf.printf "live: %d window%s of %d steps, %d events over %d steps\n" c.windows
     (if c.windows = 1 then "" else "s")
     (window_size l) c.events c.steps;
-  Printf.printf "  injected / dropped  %d / %d\n" c.c_injected c.c_dropped;
-  Printf.printf "  delivered           %d (self %d)\n" c.c_delivered c.c_self_deliveries;
-  Printf.printf "  sends / collisions  %d / %d\n" c.c_sends c.c_collisions;
-  Printf.printf "  control / buffered  %d / %d\n" c.c_control c.c_buffered;
-  Printf.printf "  energy              %.6g\n" c.energy;
+  let t = c.totals in
+  Printf.printf "  injected / dropped  %d / %d\n" t.injected t.dropped;
+  Printf.printf "  delivered           %d (self %d)\n" t.delivered t.self_deliveries;
+  Printf.printf "  sends / collisions  %d / %d\n" t.sends t.collisions;
+  Printf.printf "  control / buffered  %d / %d\n" (t.epochs + t.height_adverts) t.buffered;
+  Printf.printf "  energy              %.6g\n" t.energy;
   Printf.printf "  health              %s (%d violations, %d anomalies)\n"
     (if c.healthy then "ok" else "UNHEALTHY")
-    c.c_violations c.anomalies;
+    c.c_violations t.anomalies;
   if c.events > 0 then begin
     let tb = Table.summary_table "sketch estimate" in
     Table.add_float_row tb "latency (steps)"
@@ -524,31 +525,24 @@ let analyze_cmd =
         let j = Routing.Journey.analyze events in
         let t = j.Routing.Journey.totals in
         Printf.printf "%s: %d events, %d observed steps\n" file (Array.length events)
-          t.Routing.Journey.steps;
-        Printf.printf "injected / dropped   %d / %d\n" t.Routing.Journey.injected
-          t.Routing.Journey.dropped;
-        Printf.printf "delivered            %d (self %d)\n" t.Routing.Journey.delivered
-          t.Routing.Journey.self_deliveries;
-        Printf.printf "sends / collisions   %d / %d\n" t.Routing.Journey.sends
-          t.Routing.Journey.collisions;
-        Printf.printf "energy               %.6g\n" t.Routing.Journey.energy;
-        if t.Routing.Journey.epochs > 0 then
-          Printf.printf "epochs               %d\n" t.Routing.Journey.epochs;
-        if t.Routing.Journey.height_adverts > 0 then
-          Printf.printf "height adverts       %d\n" t.Routing.Journey.height_adverts;
-        if j.Routing.Journey.anomalies > 0 then
-          Printf.printf "REPLAY ANOMALIES     %d (corrupt or truncated log)\n"
-            j.Routing.Journey.anomalies;
-        let delivered_pkts =
-          List.filter Routing.Packet.delivered j.Routing.Journey.packets
-        in
+          j.Routing.Journey.steps;
+        Printf.printf "injected / dropped   %d / %d\n" t.injected t.dropped;
+        Printf.printf "delivered            %d (self %d)\n" t.delivered t.self_deliveries;
+        Printf.printf "sends / collisions   %d / %d\n" t.sends t.collisions;
+        Printf.printf "energy               %.6g\n" t.energy;
+        if t.epochs > 0 then Printf.printf "epochs               %d\n" t.epochs;
+        if t.height_adverts > 0 then
+          Printf.printf "height adverts       %d\n" t.height_adverts;
+        if t.anomalies > 0 then
+          Printf.printf "REPLAY ANOMALIES     %d (corrupt or truncated log)\n" t.anomalies;
+        let delivered_pkts = List.filter Obs.Mirror.delivered j.Routing.Journey.packets in
         if delivered_pkts <> [] then begin
           (* Latency row uses Journey's pinned fields (held bit-for-bit
              to the tests' online FIFO mirror); the hop / energy spread
              columns are computed here over the same delivered packets. *)
           let farr f = Array.of_list (List.map f delivered_pkts) in
-          let hops = farr (fun p -> float_of_int p.Routing.Packet.hops) in
-          let energy = farr (fun p -> p.Routing.Packet.energy) in
+          let hops = farr (fun p -> float_of_int p.Obs.Mirror.hops) in
+          let energy = farr (fun p -> p.Obs.Mirror.energy) in
           let tb = Table.summary_table "per delivered packet" in
           Table.add_float_row tb "latency (steps)"
             [
@@ -624,20 +618,12 @@ let analyze_cmd =
             print_newline ();
             print_live_summary l
         | None -> ());
-        let bad = ref (j.Routing.Journey.anomalies > 0) in
+        let bad = ref (t.anomalies > 0) in
         if check_invariants then begin
-          match Obs.Invariants.run events with
-          | [] ->
-              Printf.printf "invariants ok (%d events checked)\n" (Array.length events)
-          | vs ->
-              bad := true;
-              Printf.printf "%d invariant violation%s:\n" (List.length vs)
-                (if List.length vs = 1 then "" else "s");
-              List.iter
-                (fun (v : Obs.Invariants.violation) ->
-                  Printf.printf "  event %d: %s\n" v.Obs.Invariants.index
-                    v.Obs.Invariants.reason)
-                vs
+          let c = Obs.Invariants.create () in
+          Array.iteri (Obs.Invariants.check c) events;
+          print_endline (String.trim (Obs.Invariants.report c));
+          if not (Obs.Invariants.ok c) then bad := true
         end;
         if !bad then exit 1
   in

@@ -4,6 +4,7 @@ module Event = Event
 module Invariants = Invariants
 module Sketch = Sketch
 module Topk = Topk
+module Mirror = Mirror
 module Live = Live
 module Clock = Clock
 module Gcstat = Gcstat

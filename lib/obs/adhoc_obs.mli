@@ -14,7 +14,8 @@
       deliver / collide / epoch / advert), the flight recorder behind
       [adhoc_sim analyze], the {!Invariants} checker and the {!Live}
       step-keyed windows (the per-step series: attach a recorder to the
-      log with [Live.attach]);
+      log with [Live.attach]); the analyzer and {!Live} count packets
+      through one {!Mirror};
     - {!Domprof} — an optional per-domain profiling timeline fed by the
       pool's region/chunk hooks and the span profiler, exportable as a
       Chrome/Perfetto trace via {!Chrome_trace} (see
@@ -44,6 +45,7 @@ module Event = Event
 module Invariants = Invariants
 module Sketch = Sketch
 module Topk = Topk
+module Mirror = Mirror
 module Live = Live
 module Clock = Clock
 module Gcstat = Gcstat

@@ -4,10 +4,12 @@
    every snapshot is a pure function of (event sequence, window size):
    bit-identical across --jobs, and bit-identical between an online run
    (attached to the engine's Event.log) and an offline replay of the
-   recorded log.  The packet bookkeeping mirrors
-   Routing.Journey's FIFO identity queues, the quantile gauges come from
-   Sketch, the heavy hitters from Topk, and health from the Invariants
-   fold; none of them retains per-event state beyond O(buckets + k). *)
+   recorded log.  The packet bookkeeping is the Mirror that
+   Routing.Journey also folds through (each window's counts are
+   differences of its counters), the quantile gauges come from Sketch,
+   the heavy hitters from Topk, and health from the Invariants fold;
+   none of them retains per-event state beyond O(buckets + k) and the
+   packets in flight. *)
 
 type window = {
   w : int;
@@ -35,18 +37,9 @@ type cumulative = {
   steps : int;
   events : int;
   windows : int;
-  c_injected : int;
-  c_dropped : int;
-  c_delivered : int;
-  c_self_deliveries : int;
-  c_sends : int;
-  c_collisions : int;
-  c_control : int;
-  c_buffered : int;
+  totals : Mirror.counters;
   c_violations : int;
   healthy : bool;
-  anomalies : int;
-  energy : float;
   latency_mean : float;
   c_latency_p50 : float;
   latency_p90 : float;
@@ -63,8 +56,6 @@ type cumulative = {
   top_nodes : (int * int * int) list;
 }
 
-type pkt = { injected_at : int; mutable hops : int }
-
 type t = {
   window_size : int;
   latency : Sketch.t;
@@ -73,29 +64,11 @@ type t = {
   edges_top : Topk.t;
   nodes_top : Topk.t;
   health : Invariants.t;
-  queues : (int * int, pkt Queue.t) Hashtbl.t;  (* keyed lookup only, never iterated *)
-  mutable buffered : int;
+  mirror : Mirror.t;
+  mutable opened : Mirror.counters;  (* the mirror's counters as the current window opened *)
   mutable cur : int;  (* current window index; -1 before the first event *)
   mutable seen_step : int;  (* largest step fed; -1 before the first event *)
   mutable nevents : int;
-  mutable energy : float;
-  mutable anomalies : int;
-  (* per-window counters, reset at each window close *)
-  mutable w_injected : int;
-  mutable w_dropped : int;
-  mutable w_delivered : int;
-  mutable w_self : int;
-  mutable w_sends : int;
-  mutable w_collisions : int;
-  mutable w_control : int;
-  (* cumulative counters *)
-  mutable t_injected : int;
-  mutable t_dropped : int;
-  mutable t_delivered : int;
-  mutable t_self : int;
-  mutable t_sends : int;
-  mutable t_collisions : int;
-  mutable t_control : int;
   mutable windows_rev : window list;
   mutable final : cumulative option;
 }
@@ -112,6 +85,7 @@ let occupancy_buckets = pow2_buckets 17  (* 1 .. 65536 packets *)
 
 let create ~window () =
   if window < 1 then invalid_arg "Live.create: window must be >= 1 step";
+  let mirror = Mirror.create () in
   {
     window_size = window;
     latency = Sketch.create ~buckets:latency_buckets ();
@@ -120,57 +94,36 @@ let create ~window () =
     edges_top = Topk.create ~k:top_k ();
     nodes_top = Topk.create ~k:top_k ();
     health = Invariants.create ();
-    queues = Hashtbl.create 64;
-    buffered = 0;
+    mirror;
+    opened = Mirror.counters mirror;
     cur = -1;
     seen_step = -1;
     nevents = 0;
-    energy = 0.;
-    anomalies = 0;
-    w_injected = 0;
-    w_dropped = 0;
-    w_delivered = 0;
-    w_self = 0;
-    w_sends = 0;
-    w_collisions = 0;
-    w_control = 0;
-    t_injected = 0;
-    t_dropped = 0;
-    t_delivered = 0;
-    t_self = 0;
-    t_sends = 0;
-    t_collisions = 0;
-    t_control = 0;
     windows_rev = [];
     final = None;
   }
 
 let window_size t = t.window_size
 
-let queue_of t v d =
-  match Hashtbl.find_opt t.queues (v, d) with
-  | Some q -> q
-  | None ->
-      let q = Queue.create () in
-      Hashtbl.add t.queues (v, d) q;
-      q
+let control (c : Mirror.counters) = c.epochs + c.height_adverts
 
-(* Close the current window: snapshot its counters and the cumulative
-   gauges, then reset the per-window counters and advance. *)
+(* Close the current window: its counts are the mirror's counters less
+   those it opened with; then advance. *)
 let close_window t =
+  let c = Mirror.counters t.mirror and o = t.opened in
   let r =
     {
       w = t.cur;
       step_lo = t.cur * t.window_size;
       step_hi = (t.cur * t.window_size) + t.window_size - 1;
-      injected = t.w_injected;
-      dropped = t.w_dropped;
-      delivered = t.w_delivered;
-      self_deliveries = t.w_self;
-      sends = t.w_sends;
-      collisions = t.w_collisions;
-      control = t.w_control;
-      buffered = t.buffered;
+      injected = c.injected - o.injected;
+      dropped = c.dropped - o.dropped;
+      delivered = c.delivered - o.delivered;
+      self_deliveries = c.self_deliveries - o.self_deliveries;
+      sends = c.sends - o.sends;
+      collisions = c.collisions - o.collisions;
+      control = control c - control o;
+      buffered = c.buffered;
       violations = Invariants.violation_count t.health;
       latency_p50 = Sketch.quantile t.latency 50.;
       latency_p95 = Sketch.quantile t.latency 95.;
@@ -182,13 +135,7 @@ let close_window t =
     }
   in
   t.windows_rev <- r :: t.windows_rev;
-  t.w_injected <- 0;
-  t.w_dropped <- 0;
-  t.w_delivered <- 0;
-  t.w_self <- 0;
-  t.w_sends <- 0;
-  t.w_collisions <- 0;
-  t.w_control <- 0;
+  t.opened <- c;
   t.cur <- t.cur + 1
 
 let feed t ev =
@@ -203,10 +150,13 @@ let feed t ev =
          "Live.feed: out-of-order event at step %d after step %d; the live layer requires \
           the emitters' non-decreasing steps"
          step t.seen_step);
+  (* The pending injection is settled first, so the sample and the
+     window gauges count it. *)
+  ignore (Mirror.settle t.mirror ev);
   (* One occupancy sample per observed step: the buffer level as the
      stream leaves that step. *)
   if step > t.seen_step && t.seen_step >= 0 then
-    Sketch.observe t.occupancy (float_of_int t.buffered);
+    Sketch.observe t.occupancy (float_of_int (Mirror.counters t.mirror).buffered);
   let wi = step / t.window_size in
   if t.cur < 0 then t.cur <- wi
   else
@@ -216,58 +166,17 @@ let feed t ev =
   t.seen_step <- step;
   Invariants.check t.health t.nevents ev;
   t.nevents <- t.nevents + 1;
+  (match Mirror.feed t.mirror ev with
+  | Some p when Mirror.delivered p ->
+      Sketch.observe t.latency (float_of_int (Mirror.latency p));
+      Sketch.observe t.hops (float_of_int p.hops)
+  | _ -> ());
   match ev with
-  | Event.Inject { src; dst; admitted; _ } ->
-      if admitted then begin
-        t.w_injected <- t.w_injected + 1;
-        t.t_injected <- t.t_injected + 1;
-        if src = dst then begin
-          t.w_delivered <- t.w_delivered + 1;
-          t.t_delivered <- t.t_delivered + 1;
-          t.w_self <- t.w_self + 1;
-          t.t_self <- t.t_self + 1
-        end
-        else begin
-          Queue.push { injected_at = step; hops = 0 } (queue_of t src dst);
-          t.buffered <- t.buffered + 1
-        end
-      end
-      else begin
-        t.w_dropped <- t.w_dropped + 1;
-        t.t_dropped <- t.t_dropped + 1
-      end
-  | Event.Send { edge; src; dst; dest; cost; outcome; _ } -> (
-      t.w_sends <- t.w_sends + 1;
-      t.t_sends <- t.t_sends + 1;
-      t.energy <- t.energy +. cost;
-      Topk.observe t.edges_top edge;
-      Topk.observe t.nodes_top src;
-      Topk.observe t.nodes_top dst;
-      match Queue.take_opt (queue_of t src dest) with
-      | None ->
-          (* Corrupt log: the engine never sends from an empty cell. *)
-          t.anomalies <- t.anomalies + 1
-      | Some pkt -> (
-          pkt.hops <- pkt.hops + 1;
-          match outcome with
-          | Event.Delivered ->
-              t.w_delivered <- t.w_delivered + 1;
-              t.t_delivered <- t.t_delivered + 1;
-              t.buffered <- t.buffered - 1;
-              Sketch.observe t.latency (float_of_int (step - pkt.injected_at));
-              Sketch.observe t.hops (float_of_int pkt.hops)
-          | Event.Moved -> Queue.push pkt (queue_of t dst dest)))
-  | Event.Collide { edge; src; dst; cost; _ } ->
-      t.w_collisions <- t.w_collisions + 1;
-      t.t_collisions <- t.t_collisions + 1;
-      t.energy <- t.energy +. cost;
+  | Event.Send { edge; src; dst; _ } | Event.Collide { edge; src; dst; _ } ->
       Topk.observe t.edges_top edge;
       Topk.observe t.nodes_top src;
       Topk.observe t.nodes_top dst
-  | Event.Deliver _ -> ()  (* counted at the Inject/Send that caused it *)
-  | Event.Epoch_change _ | Event.Height_advert _ ->
-      t.w_control <- t.w_control + 1;
-      t.t_control <- t.t_control + 1
+  | Event.Inject _ | Event.Deliver _ | Event.Epoch_change _ | Event.Height_advert _ -> ()
 
 let attach t log = Event.add_observer log (fun _ e -> feed t e)
 
@@ -277,8 +186,10 @@ let finish t =
   match t.final with
   | Some c -> c
   | None ->
+      ignore (Mirror.flush t.mirror);
+      let totals = Mirror.counters t.mirror in
       if t.seen_step >= 0 then begin
-        Sketch.observe t.occupancy (float_of_int t.buffered);
+        Sketch.observe t.occupancy (float_of_int totals.buffered);
         (* Close through the window holding the last observed step. *)
         let last = t.seen_step / t.window_size in
         while t.cur <= last do
@@ -290,18 +201,9 @@ let finish t =
           steps = t.seen_step + 1;
           events = t.nevents;
           windows = List.length t.windows_rev;
-          c_injected = t.t_injected;
-          c_dropped = t.t_dropped;
-          c_delivered = t.t_delivered;
-          c_self_deliveries = t.t_self;
-          c_sends = t.t_sends;
-          c_collisions = t.t_collisions;
-          c_control = t.t_control;
-          c_buffered = t.buffered;
+          totals;
           c_violations = Invariants.violation_count t.health;
-          healthy = Invariants.ok t.health && t.anomalies = 0;
-          anomalies = t.anomalies;
-          energy = t.energy;
+          healthy = Invariants.ok t.health && totals.anomalies = 0;
           latency_mean = Sketch.mean t.latency;
           c_latency_p50 = Sketch.quantile t.latency 50.;
           latency_p90 = Sketch.quantile t.latency 90.;
@@ -351,13 +253,15 @@ let write_window oc (w : window) =
 let write_final oc (c : cumulative) =
   Printf.fprintf oc
     "{\"final\":true,\"steps\":%d,\"events\":%d,\"windows\":%d,\"injected\":%d,\"dropped\":%d,\"delivered\":%d,\"self\":%d,\"sends\":%d,\"collisions\":%d,\"control\":%d,\"buffered\":%d,\"violations\":%d,\"healthy\":%s,\"anomalies\":%d,\"energy\":%s,\"latency_mean\":%s,\"latency_p50\":%s,\"latency_p90\":%s,\"latency_p95\":%s,\"latency_p99\":%s,\"hops_mean\":%s,\"hops_p50\":%s,\"hops_p95\":%s,\"occupancy_mean\":%s,\"occupancy_p50\":%s,\"occupancy_p95\":%s,\"occupancy_max\":%s,\"top_edges\":%s,\"top_nodes\":%s}\n"
-    c.steps c.events c.windows c.c_injected c.c_dropped c.c_delivered c.c_self_deliveries
-    c.c_sends c.c_collisions c.c_control c.c_buffered c.c_violations
+    c.steps c.events c.windows c.totals.injected c.totals.dropped c.totals.delivered
+    c.totals.self_deliveries c.totals.sends c.totals.collisions (control c.totals)
+    c.totals.buffered c.c_violations
     (if c.healthy then "true" else "false")
-    c.anomalies (num c.energy) (num c.latency_mean) (num c.c_latency_p50) (num c.latency_p90)
-    (num c.c_latency_p95) (num c.latency_p99) (num c.hops_mean) (num c.c_hops_p50)
-    (num c.c_hops_p95) (num c.occupancy_mean) (num c.c_occupancy_p50) (num c.c_occupancy_p95)
-    (num c.occupancy_max) (triples c.c_top_edges) (triples c.top_nodes)
+    c.totals.anomalies (num c.totals.energy) (num c.latency_mean) (num c.c_latency_p50)
+    (num c.latency_p90) (num c.c_latency_p95) (num c.latency_p99) (num c.hops_mean)
+    (num c.c_hops_p50) (num c.c_hops_p95) (num c.occupancy_mean) (num c.c_occupancy_p50)
+    (num c.c_occupancy_p95) (num c.occupancy_max) (triples c.c_top_edges)
+    (triples c.top_nodes)
 
 let write_jsonl t oc =
   let c = finish t in
@@ -389,24 +293,26 @@ let write_prometheus t oc =
       (fun (q, v) -> Printf.fprintf oc "%s{quantile=\"%s\"} %s\n" name q (prom_num v))
       qs
   in
-  counter "adhoc_live_injected_total" "Admitted packet injections." c.c_injected;
-  counter "adhoc_live_dropped_total" "Injections refused by admission control." c.c_dropped;
+  counter "adhoc_live_injected_total" "Admitted packet injections." c.totals.injected;
+  counter "adhoc_live_dropped_total" "Injections refused by admission control."
+    c.totals.dropped;
   counter "adhoc_live_delivered_total" "Delivered packets (incl. self-deliveries)."
-    c.c_delivered;
-  counter "adhoc_live_sends_total" "Successful transmissions." c.c_sends;
-  counter "adhoc_live_collisions_total" "Colliding transmission attempts." c.c_collisions;
+    c.totals.delivered;
+  counter "adhoc_live_sends_total" "Successful transmissions." c.totals.sends;
+  counter "adhoc_live_collisions_total" "Colliding transmission attempts."
+    c.totals.collisions;
   counter "adhoc_live_control_total" "Control messages (epoch changes + height adverts)."
-    c.c_control;
+    (control c.totals);
   counter "adhoc_live_invariant_violations_total" "Invariant violations detected online."
     c.c_violations;
-  gauge "adhoc_live_buffered" "Packets still buffered." c.c_buffered;
+  gauge "adhoc_live_buffered" "Packets still buffered." c.totals.buffered;
   gauge "adhoc_live_steps" "Simulation steps observed." c.steps;
   gauge "adhoc_live_windows" "Tumbling windows emitted." c.windows;
   gauge "adhoc_live_healthy" "1 when no invariant violation or replay anomaly was seen."
     (if c.healthy then 1 else 0);
   Printf.fprintf oc "# HELP adhoc_live_energy_total Energy spent on sends and collisions.\n";
   Printf.fprintf oc "# TYPE adhoc_live_energy_total counter\nadhoc_live_energy_total %s\n"
-    (prom_num c.energy);
+    (prom_num c.totals.energy);
   quantiles "adhoc_live_latency_steps" "Delivery latency in steps."
     [
       ("0.5", c.c_latency_p50);

@@ -10,6 +10,16 @@
     is bit-identical across [--jobs] and between an online run and an
     offline replay of the very same log.
 
+    The packet counts come from one {!Mirror}, the fold that
+    [Routing.Journey] also reads: a window's counts are the mirror's
+    counters at its close less those at its open, and the cumulative
+    record carries the counters themselves.  The mirror reads
+    absorption from the log, so the counts hold for an [Engine.Group]
+    run too.  The health fold does not: it checks the destination rule
+    ({!Invariants.create}'s default), so a [Group] run, whose members
+    absorb packets keyed [n + g], reads unhealthy.  No caller attaches a
+    recorder to a [Group] run.
+
     Windows are emitted even when a window's worth of steps saw no
     events (gap windows carry zero counters and the current gauges), so
     window [w] always covers steps [w*window .. (w+1)*window - 1]
@@ -48,18 +58,9 @@ type cumulative = {
   steps : int;  (** last observed step + 1, or 0 with no events *)
   events : int;
   windows : int;
-  c_injected : int;
-  c_dropped : int;
-  c_delivered : int;
-  c_self_deliveries : int;
-  c_sends : int;
-  c_collisions : int;
-  c_control : int;
-  c_buffered : int;
+  totals : Mirror.counters;  (** the mirror's counters at the end of the stream *)
   c_violations : int;
-  healthy : bool;  (** no invariant violation and no replay anomaly *)
-  anomalies : int;  (** sends the journey bookkeeping could not pair *)
-  energy : float;  (** summed in event order, like the engines *)
+  healthy : bool;  (** no invariant violation and no mirror anomaly *)
   latency_mean : float;  (** exact mean of delivery latencies; [nan] when empty *)
   c_latency_p50 : float;
   latency_p90 : float;
@@ -113,7 +114,8 @@ val top_k : int
 (** Heavy-hitter slots per table: 8. *)
 
 val health : t -> Invariants.t
-(** The online invariant fold (for {!Invariants.report}). *)
+(** The online invariant fold (for {!Invariants.report}), under the
+    destination rule. *)
 
 val schema : string
 (** ["adhoc-live/1"]. *)

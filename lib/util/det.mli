@@ -11,9 +11,6 @@
 val sorted_bindings : ?compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** All bindings in ascending key order. *)
 
-val sorted_keys : ?compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> 'k list
-(** All keys in ascending order. *)
-
 val iter_sorted : ?compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
 (** [iter_sorted f tbl] applies [f] to each binding in ascending key order. *)
 

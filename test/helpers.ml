@@ -15,6 +15,18 @@ let points_of_seed ?(min_n = 4) ?(max_n = 40) seed =
 
 let seed_gen = QCheck2.Gen.int_bound 1_000_000
 
+(* A random ΘALG overlay on 6-25 uniform points at twice the critical
+   range, with its conflict graph. *)
+let overlay_instance seed =
+  let module Theta_alg = Adhoc_topo.Theta_alg in
+  let points = points_of_seed ~min_n:6 ~max_n:25 seed in
+  let range = 2. *. Adhoc_topo.Udg.critical_range points in
+  let g = Theta_alg.overlay (Theta_alg.build ~theta:(Float.pi /. 6.) ~range points) in
+  let c =
+    Adhoc_interference.Conflict.build (Adhoc_interference.Model.make ~delta:0.5) ~points g
+  in
+  (points, g, c)
+
 let close ?(eps = 1e-9) a b =
   a = b (* covers equal infinities *)
   || Float.abs (a -. b) <= eps *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))

@@ -9,8 +9,14 @@
 
 module Graph = Adhoc_graph.Graph
 module Event = Adhoc_obs.Event
-module Packet = Adhoc_routing.Packet
 module Stats = Adhoc_util.Stats
+
+type packet = {
+  injected_at : int;
+  mutable delivered_at : int;  (* -1 while in flight *)
+  mutable hops : int;
+  mutable energy : float;
+}
 
 type stats = {
   latency_mean : float;
@@ -18,14 +24,13 @@ type stats = {
   latency_p95 : float;
   hops_mean : float;
   energy_per_delivered : float;  (* mean energy charged to delivered packets *)
-  packets : Packet.t list;  (* every admitted packet, delivered or not *)
+  packets : packet list;  (* every admitted packet, delivered or not *)
 }
 
 type t = {
-  queues : (int * int, Packet.t Queue.t) Hashtbl.t;
+  queues : (int * int, packet Queue.t) Hashtbl.t;
   edge_cost : float array;
-  mutable admitted : Packet.t list;  (* newest first *)
-  mutable next_id : int;
+  mutable admitted : packet list;  (* newest first *)
 }
 
 let queue_of t v d =
@@ -41,17 +46,16 @@ let observe t _ = function
       (* Self-injections are absorbed on admission and never become
          packets. *)
       if admitted && src <> dst then begin
-        let pkt = Packet.make ~id:t.next_id ~src ~dst ~now:step in
-        t.next_id <- t.next_id + 1;
+        let pkt = { injected_at = step; delivered_at = -1; hops = 0; energy = 0. } in
         t.admitted <- pkt :: t.admitted;
         Queue.push pkt (queue_of t src dst)
       end
   | Event.Send { step; edge; src; dst; dest; outcome; _ } -> (
       let pkt = Queue.pop (queue_of t src dest) in
-      pkt.Packet.hops <- pkt.Packet.hops + 1;
-      pkt.Packet.energy <- pkt.Packet.energy +. t.edge_cost.(edge);
+      pkt.hops <- pkt.hops + 1;
+      pkt.energy <- pkt.energy +. t.edge_cost.(edge);
       match outcome with
-      | Event.Delivered -> pkt.Packet.delivered_at <- step
+      | Event.Delivered -> pkt.delivered_at <- step
       | Event.Moved -> Queue.push pkt (queue_of t dst dest))
   | Event.Collide _ | Event.Deliver _ | Event.Epoch_change _ | Event.Height_advert _ -> ()
 
@@ -62,7 +66,6 @@ let attach ~graph ~cost log =
       queues = Hashtbl.create 64;
       edge_cost = Array.init (Graph.num_edges graph) (fun e -> cost (Graph.length graph e));
       admitted = [];
-      next_id = 0;
     }
   in
   Event.add_observer log (observe t);
@@ -71,9 +74,9 @@ let attach ~graph ~cost log =
 (* Latency fields are 0. when nothing was delivered. *)
 let stats t =
   let packets = List.rev t.admitted in
-  let delivered = List.filter Packet.delivered packets in
+  let delivered = List.filter (fun p -> p.delivered_at >= 0) packets in
   let column f = Array.of_list (List.map f delivered) in
-  let latencies = column (fun p -> float_of_int (Packet.latency p)) in
+  let latencies = column (fun p -> float_of_int (p.delivered_at - p.injected_at)) in
   if Array.length latencies = 0 then
     {
       latency_mean = 0.;
@@ -88,7 +91,7 @@ let stats t =
       latency_mean = Stats.mean latencies;
       latency_median = Stats.percentile latencies 50.;
       latency_p95 = Stats.percentile latencies 95.;
-      hops_mean = Stats.mean (column (fun p -> float_of_int p.Packet.hops));
-      energy_per_delivered = Stats.mean (column (fun p -> p.Packet.energy));
+      hops_mean = Stats.mean (column (fun p -> float_of_int p.hops));
+      energy_per_delivered = Stats.mean (column (fun p -> p.energy));
       packets;
     }

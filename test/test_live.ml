@@ -211,12 +211,12 @@ let test_live_windows () =
       Alcotest.(check int) "w2 delivered" 1 w2.Live.delivered;
       Alcotest.(check int) "w2 drained the buffer" 0 w2.Live.buffered
   | ws -> Alcotest.failf "expected 3 windows, got %d" (List.length ws));
-  Alcotest.(check int) "cumulative delivered" 1 c.Live.c_delivered;
+  Alcotest.(check int) "cumulative delivered" 1 c.Live.totals.Obs.Mirror.delivered;
   Alcotest.(check int) "no violations" 0 c.Live.c_violations;
   Alcotest.(check bool) "healthy" true c.Live.healthy;
   check_close "latency: injected at 0, delivered at 4" 4. c.Live.latency_mean;
   check_close "two hops" 2. c.Live.hops_mean;
-  check_close "energy in event order" 1.5 c.Live.energy;
+  check_close "energy in event order" 1.5 c.Live.totals.Obs.Mirror.energy;
   match c.Live.c_top_edges with
   | (edge, n, err) :: _ ->
       Alcotest.(check bool) "busiest edge tracked exactly" true
@@ -231,9 +231,10 @@ let test_live_self_delivery () =
       Event.Deliver { step = 0; dst = 3; self = true };
     |];
   let c = Live.finish l in
-  Alcotest.(check int) "self-delivery counted as delivered" 1 c.Live.c_delivered;
-  Alcotest.(check int) "and as a self-delivery" 1 c.Live.c_self_deliveries;
-  Alcotest.(check int) "nothing buffered" 0 c.Live.c_buffered;
+  let t = c.Live.totals in
+  Alcotest.(check int) "self-delivery counted as delivered" 1 t.Obs.Mirror.delivered;
+  Alcotest.(check int) "and as a self-delivery" 1 t.Obs.Mirror.self_deliveries;
+  Alcotest.(check int) "nothing buffered" 0 t.Obs.Mirror.buffered;
   Alcotest.(check bool) "healthy" true c.Live.healthy
 
 let test_live_rejects () =

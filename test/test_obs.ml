@@ -310,6 +310,7 @@ let test_span_self_time () =
 
 module Event = Obs.Event
 module Invariants = Obs.Invariants
+module Mirror = Obs.Mirror
 
 let sample_events =
   [
@@ -353,22 +354,23 @@ let test_event_roundtrip () =
     (fun () -> ignore (Event.get log 8))
 
 let test_event_growth () =
-  let log = Event.create ~initial_capacity:2 () in
-  for i = 0 to 999 do
+  (* Twice the room [create] starts with. *)
+  let log = Event.create () in
+  for i = 0 to 2047 do
     Event.send log ~step:i ~edge:i ~src:0 ~dst:1 ~dest:2 ~cost:(float_of_int i /. 7.)
       ~outcome:(if i mod 2 = 0 then Event.Moved else Event.Delivered)
   done;
-  Alcotest.(check int) "grows past capacity" 1000 (Event.length log);
-  match Event.get log 999 with
-  | Event.Send { step = 999; edge = 999; cost; outcome = Event.Delivered; _ } ->
+  Alcotest.(check int) "grows past capacity" 2048 (Event.length log);
+  match Event.get log 2047 with
+  | Event.Send { step = 2047; edge = 2047; cost; outcome = Event.Delivered; _ } ->
       Alcotest.(check bool) "cost survives growth" true
-        (Int64.equal (Int64.bits_of_float cost) (Int64.bits_of_float (999. /. 7.)))
+        (Int64.equal (Int64.bits_of_float cost) (Int64.bits_of_float (2047. /. 7.)))
   | _ -> Alcotest.fail "last event mangled"
 
 let test_event_observer () =
   let log = Event.create () in
-  let seen = ref [] in
-  Event.set_observer log (fun i e -> seen := (i, e) :: !seen);
+  let seen = ref [] and late = ref 0 in
+  Event.add_observer log (fun i e -> seen := (i, e) :: !seen);
   List.iter (Event.record log) sample_events;
   Alcotest.(check int) "observer saw every record" (List.length sample_events)
     (List.length !seen);
@@ -378,9 +380,10 @@ let test_event_observer () =
       Alcotest.(check int) "index" i j;
       if got <> ev then Alcotest.failf "observer got a different event at %d" i)
     sample_events;
-  Event.clear_observer log;
+  Event.add_observer log (fun _ _ -> incr late);
   Event.deliver log ~step:9 ~dst:0 ~self:true;
-  Alcotest.(check int) "cleared observer fires no more" (List.length sample_events)
+  Alcotest.(check int) "a later observer sees only later events" 1 !late;
+  Alcotest.(check int) "and the first one still sees them" (List.length sample_events + 1)
     (List.length !seen)
 
 let with_temp_file suffix f =
@@ -685,26 +688,27 @@ let group_members = [| [| 0; 4 |] |]
 
 let group_absorbs ~node ~dest = dest >= 5 && Array.mem node group_members.(dest - 5)
 
+let run_group_line log =
+  Engine.run ~obs:(Obs.create ~events:log ()) ~who:"test"
+    ~params:(Balancing.params ~threshold:0. ~gamma:0. ~capacity:10)
+    ~heights:Engine.Live
+    ~absorb:(Engine.Group { members = group_members; absorbed = Array.make 5 0 })
+    ~injections:(fun t -> if t = 0 then [ (1, 0); (3, 0); (0, 0) ] else [])
+    [
+      {
+        Engine.graph = group_line;
+        cost = Cost.length;
+        activation = Engine.Rounds None;
+        steps = 25;
+        epoch = None;
+      };
+    ]
+
 let test_invariants_group_run () =
   let log = Event.create () in
   let checker = Invariants.create ~endpoints:(Graph.endpoints group_line) ~absorbs:group_absorbs () in
   Invariants.attach checker log;
-  let s =
-    Engine.run ~obs:(Obs.create ~events:log ()) ~who:"test"
-      ~params:(Balancing.params ~threshold:0. ~gamma:0. ~capacity:10)
-      ~heights:Engine.Live
-      ~absorb:(Engine.Group { members = group_members; absorbed = Array.make 5 0 })
-      ~injections:(fun t -> if t = 0 then [ (1, 0); (3, 0); (0, 0) ] else [])
-      [
-        {
-          Engine.graph = group_line;
-          cost = Cost.length;
-          activation = Engine.Rounds None;
-          steps = 25;
-          epoch = None;
-        };
-      ]
-  in
+  let s = run_group_line log in
   Alcotest.(check int) "all three delivered" 3 s.Engine.delivered;
   Invariants.final_check checker ~injected:s.Engine.injected ~dropped:s.Engine.dropped
     ~delivered:s.Engine.delivered ~sends:s.Engine.sends ~failed_sends:s.Engine.failed_sends
@@ -821,13 +825,12 @@ let check_journey_matches name (stats : Engine.stats) (r : Reference_tracking.st
   same "hops mean" r.Reference_tracking.hops_mean j.Journey.hops_mean;
   same "energy per delivered" r.Reference_tracking.energy_per_delivered
     j.Journey.energy_per_delivered;
-  same "total energy" stats.Engine.total_cost j.Journey.totals.Journey.energy;
-  Alcotest.(check int) (name ^ " delivered") stats.Engine.delivered
-    j.Journey.totals.Journey.delivered;
-  Alcotest.(check int) (name ^ " injected") stats.Engine.injected
-    j.Journey.totals.Journey.injected;
-  Alcotest.(check int) (name ^ " dropped") stats.Engine.dropped j.Journey.totals.Journey.dropped;
-  Alcotest.(check int) (name ^ " anomalies") 0 j.Journey.anomalies;
+  let t = j.Journey.totals in
+  same "total energy" stats.Engine.total_cost t.Mirror.energy;
+  Alcotest.(check int) (name ^ " delivered") stats.Engine.delivered t.Mirror.delivered;
+  Alcotest.(check int) (name ^ " injected") stats.Engine.injected t.Mirror.injected;
+  Alcotest.(check int) (name ^ " dropped") stats.Engine.dropped t.Mirror.dropped;
+  Alcotest.(check int) (name ^ " anomalies") 0 t.Mirror.anomalies;
   Alcotest.(check int)
     (name ^ " packet count")
     (List.length r.Reference_tracking.packets)
@@ -888,8 +891,8 @@ let test_journey_matches_tracked_random =
       && Int64.equal
            (bits r.Reference_tracking.energy_per_delivered)
            (bits j.Journey.energy_per_delivered)
-      && Int64.equal (bits stats.Engine.total_cost) (bits j.Journey.totals.Journey.energy)
-      && j.Journey.anomalies = 0)
+      && Int64.equal (bits stats.Engine.total_cost) (bits j.Journey.totals.Mirror.energy)
+      && j.Journey.totals.Mirror.anomalies = 0)
 
 let test_journey_flags_corrupt_log () =
   let j =
@@ -907,7 +910,8 @@ let test_journey_flags_corrupt_log () =
           };
       |]
   in
-  Alcotest.(check bool) "uninjected send is an anomaly" true (j.Journey.anomalies > 0)
+  Alcotest.(check bool) "uninjected send is an anomaly" true
+    (j.Journey.totals.Mirror.anomalies > 0)
 
 let test_journey_edge_table () =
   let stats, _, log = tracked_with_events () in
@@ -929,6 +933,100 @@ let test_journey_edge_table () =
       let _, final_delivered, _ = tl.(Array.length tl - 1) in
       Alcotest.(check int) "timeline converges to the delivery total" stats.Engine.delivered
         final_delivered
+
+(* The group line's run through both folds: the log says which packet
+   was absorbed where it was injected (its Deliver with self = true), so
+   neither fold needs the group's rule to count three deliveries, one of
+   them a self-delivery. *)
+let test_journey_group_line () =
+  let log = Event.create () in
+  let live = Obs.Live.create ~window:10 () in
+  Obs.Live.attach live log;
+  let s = run_group_line log in
+  Alcotest.(check int) "engine delivered" 3 s.Engine.delivered;
+  let read name (c : Mirror.counters) =
+    Alcotest.(check (list int))
+      (name ^ ": delivered, self, buffered, anomalies")
+      [ 3; 1; 0; 0 ]
+      [ c.delivered; c.self_deliveries; c.buffered; c.anomalies ]
+  in
+  read "journey" (Journey.analyze (Event.to_array log)).Journey.totals;
+  read "live" (Obs.Live.finish live).Obs.Live.totals
+
+(* Random Group runs, some injections at members: both folds count what
+   the engine did, each injection at a member is a self-delivery, and the
+   checker under the group's rule finds nothing. *)
+let test_journey_group_random =
+  qtest "group runs: journey = live = engine" ~count:15 seed_gen (fun seed ->
+      let _, g, c = overlay_instance seed in
+      let n = Graph.n g in
+      let members = [| [| 0 |]; [| 1; 2 |] |] in
+      let rng = Prng.create seed in
+      let at_members = ref 0 in
+      let injections t =
+        if t < 100 then begin
+          let v = Prng.int rng n and grp = Prng.int rng 2 in
+          if Array.mem v members.(grp) then incr at_members;
+          [ (v, grp) ]
+        end
+        else []
+      in
+      let log = Event.create () in
+      let live = Obs.Live.create ~window:50 () in
+      Obs.Live.attach live log;
+      let s =
+        Engine.run ~obs:(Obs.create ~events:log ()) ~who:"test"
+          ~params:(Balancing.params ~threshold:1. ~gamma:0.1 ~capacity:30)
+          ~heights:Engine.Live
+          ~absorb:(Engine.Group { members; absorbed = Array.make n 0 })
+          ~injections
+          [
+            {
+              Engine.graph = g;
+              cost = Cost.length;
+              activation = Engine.Rounds (Some c);
+              steps = 400;
+              epoch = None;
+            };
+          ]
+      in
+      let events = Event.to_array log in
+      let t = (Journey.analyze events).Journey.totals in
+      let absorbs ~node ~dest = dest >= n && Array.mem node members.(dest - n) in
+      t.injected = s.Engine.injected
+      && t.dropped = s.Engine.dropped
+      && t.delivered = s.Engine.delivered
+      && t.sends + t.collisions = s.Engine.sends
+      && t.collisions = s.Engine.failed_sends
+      && t.buffered = s.Engine.remaining
+      && Int64.equal (bits t.energy) (bits s.Engine.total_cost)
+      && t.self_deliveries = !at_members
+      && t.anomalies = 0
+      && Invariants.run ~endpoints:(Graph.endpoints g) ~absorbs events = []
+      && (Obs.Live.finish live).Obs.Live.totals = t)
+
+(* A delivery the destination rule forbids (at node 1, for a packet keyed
+   2) is the checker's to flag, under that rule; the mirror takes the
+   log's word for it. *)
+let test_journey_delivered_away () =
+  let events =
+    [|
+      Event.Inject { step = 0; src = 0; dst = 2; admitted = true };
+      Event.Send
+        { step = 1; edge = 0; src = 0; dst = 1; dest = 2; cost = 1.; outcome = Event.Delivered };
+      Event.Deliver { step = 1; dst = 2; self = false };
+    |]
+  in
+  (match Invariants.run events with
+  | [ v ] ->
+      Alcotest.(check bool)
+        (Printf.sprintf "checker names the destination (got %S)" v.Invariants.reason)
+        true
+        (contains v.Invariants.reason "dst 1 is not the destination 2")
+  | vs -> Alcotest.failf "expected exactly 1 violation, got %d" (List.length vs));
+  let t = (Journey.analyze events).Journey.totals in
+  Alcotest.(check int) "delivered" 1 t.Mirror.delivered;
+  Alcotest.(check int) "not a journey anomaly" 0 t.Mirror.anomalies
 
 (* ------------------------------------------------------------------ *)
 (* Engine variants: obs parity                                         *)
@@ -1407,6 +1505,9 @@ let () =
           test_journey_matches_tracked_random;
           case "corrupt log flagged" test_journey_flags_corrupt_log;
           case "edge table and timeline" test_journey_edge_table;
+          case "group line read by both folds" test_journey_group_line;
+          test_journey_group_random;
+          case "delivered away is the checker's" test_journey_delivered_away;
         ] );
       ( "engine variants",
         [

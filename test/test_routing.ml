@@ -445,14 +445,6 @@ let test_balancing_matches_oracle =
 (* ------------------------------------------------------------------ *)
 (* Workload                                                            *)
 
-let overlay_instance seed =
-  let points = points_of_seed ~min_n:6 ~max_n:25 seed in
-  let range = 2. *. Udg.critical_range points in
-  let alg = Theta_alg.build ~theta:(Float.pi /. 6.) ~range points in
-  let g = Theta_alg.overlay alg in
-  let c = Conflict.build (Model.make ~delta:0.5) ~points g in
-  (points, g, c)
-
 let workload_config = { Workload.horizon = 300; attempts = 200; slack = 10; interference_free = false }
 
 (* Traffic over many distinct pairs: 64 flows for 200 attempts, so most
@@ -957,14 +949,29 @@ let test_cost_accounting () =
 (* Packets, tracked through the event log                              *)
 
 let test_packet_lifecycle () =
-  let p = Packet.make ~id:7 ~src:1 ~dst:2 ~now:10 in
-  Alcotest.(check bool) "in flight" false (Packet.delivered p);
+  let m = Adhoc_obs.Mirror.create () in
+  let feed e = Adhoc_obs.Mirror.feed m e in
+  ignore (feed (Event.Inject { step = 10; src = 1; dst = 2; admitted = true }));
+  let p =
+    match
+      feed
+        (Event.Send
+           { step = 12; edge = 0; src = 1; dst = 3; dest = 2; cost = 1.; outcome = Event.Moved })
+    with
+    | Some p -> p
+    | None -> Alcotest.fail "the send moved no packet"
+  in
+  Alcotest.(check bool) "in flight" false (Adhoc_obs.Mirror.delivered p);
   Alcotest.check_raises "latency before delivery"
-    (Invalid_argument "Packet.latency: packet not delivered") (fun () ->
-      ignore (Packet.latency p));
-  p.Packet.delivered_at <- 25;
-  Alcotest.(check bool) "delivered" true (Packet.delivered p);
-  Alcotest.(check int) "latency" 15 (Packet.latency p)
+    (Invalid_argument "Mirror.latency: packet not delivered") (fun () ->
+      ignore (Adhoc_obs.Mirror.latency p));
+  ignore
+    (feed
+       (Event.Send
+          { step = 25; edge = 1; src = 3; dst = 2; dest = 2; cost = 1.; outcome = Event.Delivered }));
+  Alcotest.(check bool) "delivered" true (Adhoc_obs.Mirror.delivered p);
+  Alcotest.(check int) "latency" 15 (Adhoc_obs.Mirror.latency p);
+  Alcotest.(check int) "waited at node 3" 13 p.Adhoc_obs.Mirror.waited
 
 let tracked_line_workload () =
   let g = Graph.of_edges ~n:3 [ (0, 1, 1.); (1, 2, 1.) ] in
@@ -1006,8 +1013,8 @@ let test_journey_latency () =
   check_close "energy" 2. j.Journey.energy_per_delivered;
   List.iter
     (fun p ->
-      Alcotest.(check bool) "delivered" true (Packet.delivered p);
-      Alcotest.(check int) "hop count" 2 p.Packet.hops)
+      Alcotest.(check bool) "delivered" true (Adhoc_obs.Mirror.delivered p);
+      Alcotest.(check int) "hop count" 2 p.Adhoc_obs.Mirror.hops)
     j.Journey.packets
 
 (* ------------------------------------------------------------------ *)
