@@ -43,7 +43,7 @@ let e11 () =
           | "gabriel" -> Topo.Gabriel.build ~range points
           | "rng" -> Topo.Rng_graph.build ~range points
           | "delaunay" -> Topo.Delaunay.build ~range points
-          | "mst" -> Graphs.Mst.of_points points
+          | "mst" -> Topo.Euclidean_mst.build points
           | _ -> assert false
         in
         (g, Unix.gettimeofday () -. t0)

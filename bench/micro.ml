@@ -42,7 +42,7 @@ let ops () =
     op "theta-alg-build" (fun () -> Topo.Theta_alg.build ~theta ~range points);
     op "gabriel-build" (fun () -> Topo.Gabriel.build ~range points);
     op "delaunay-build" (fun () -> Topo.Delaunay.build ~range points);
-    op "mst-build" (fun () -> Graphs.Mst.of_points points);
+    op "mst-build" (fun () -> Topo.Euclidean_mst.build points);
     op "conflict-build" (fun () ->
         Interference.Conflict.build (Interference.Model.make ~delta:0.5) ~points overlay);
     op "dijkstra-sssp" (fun () -> Graphs.Dijkstra.run overlay ~cost:Graphs.Cost.length ~src:0);

@@ -160,7 +160,7 @@ let topology_cmd =
         ("gabriel", Topo.Gabriel.build ~pool ~range points);
         ("rng", Topo.Rng_graph.build ~pool ~range points);
         ("delaunay", Topo.Delaunay.build ~range points);
-        ("mst", Graphs.Mst.of_points points);
+        ("mst", Topo.Euclidean_mst.build points);
       ];
     Table.print t
   in

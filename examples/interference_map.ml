@@ -32,7 +32,7 @@ let () =
       ("Gabriel", Topo.Gabriel.build ~range points);
       ("RNG", Topo.Rng_graph.build ~range points);
       ("restricted Delaunay", Topo.Delaunay.build ~range points);
-      ("Euclidean MST", Graphs.Mst.of_points points);
+      ("Euclidean MST", Topo.Euclidean_mst.build points);
     ]
   in
   let t =

@@ -30,16 +30,9 @@ let center t c =
   let qf = float_of_int c.q and rf = float_of_int c.r in
   Point.make (t.side *. sqrt3 *. (qf +. (rf /. 2.))) (t.side *. 1.5 *. rf)
 
-let contains t c p = of_point t p = c
-
 let directions = [ (1, 0); (1, -1); (0, -1); (-1, 0); (-1, 1); (0, 1) ]
 
 let neighbors c = List.map (fun (dq, dr) -> { q = c.q + dq; r = c.r + dr }) directions
-
-let hex_distance a b =
-  let dq = a.q - b.q and dr = a.r - b.r in
-  let ds = -dq - dr in
-  (abs dq + abs dr + abs ds) / 2
 
 let ring c k =
   if k < 0 then invalid_arg "Hexgrid.ring: negative radius";

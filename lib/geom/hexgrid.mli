@@ -27,9 +27,6 @@ val of_point : t -> Point.t -> coord
 
 val center : t -> coord -> Point.t
 
-val contains : t -> coord -> Point.t -> bool
-(** Exact membership test ([of_point] round-trip). *)
-
 val neighbors : coord -> coord list
 (** The six adjacent hexagons. *)
 
@@ -39,9 +36,6 @@ val ring : coord -> int -> coord list
 
 val disk : coord -> int -> coord list
 (** All hexagons at hex-distance at most [k]. *)
-
-val hex_distance : coord -> coord -> int
-(** Graph distance on the hexagonal lattice. *)
 
 val compare_coord : coord -> coord -> int
 val equal_coord : coord -> coord -> bool

@@ -35,19 +35,6 @@ let angle_of u v =
   let a = Float.atan2 (v.y -. u.y) (v.x -. u.x) in
   if a < 0. then a +. two_pi else a
 
-let angle_between a apex b =
-  let u = a -@ apex and v = b -@ apex in
-  let nu = norm u and nv = norm v in
-  if Float.equal nu 0. || Float.equal nv 0. then 0.
-  else begin
-    let c = dot u v /. (nu *. nv) in
-    Float.acos (Float.max (-1.) (Float.min 1. c))
-  end
-
-let rotate a p =
-  let c = cos a and s = sin a in
-  { x = (c *. p.x) -. (s *. p.y); y = (s *. p.x) +. (c *. p.y) }
-
 let lerp a b t = a +@ scale t (b -@ a)
 
 let equal a b = a.x = b.x && a.y = b.y

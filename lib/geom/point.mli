@@ -41,12 +41,6 @@ val angle_of : t -> t -> float
 (** [angle_of u v] is the polar angle of the vector from [u] to [v], in
     [[0, 2π)].  Undefined for coincident points (returns [0.]). *)
 
-val angle_between : t -> t -> t -> float
-(** [angle_between a apex b] is the (unsigned) angle ∠a·apex·b in [[0, π]]. *)
-
-val rotate : float -> t -> t
-(** Rotate a vector about the origin by the given angle (radians, CCW). *)
-
 val lerp : t -> t -> float -> t
 (** [lerp a b t] is [a + t·(b − a)]. *)
 
@@ -56,5 +50,5 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Lexicographic order. *)
 
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
+(** ["(x, y)"], each coordinate printed with [%g]. *)

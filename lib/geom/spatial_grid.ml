@@ -148,8 +148,6 @@ let fold_within t (p : Point.t) r ~init ~f =
 
 let iter_within t p r f = fold_within t p r ~init:() ~f:(fun () i -> f i)
 
-let indices_within t p r = fold_within t p r ~init:[] ~f:(fun acc i -> i :: acc)
-
 let nearest_other t i =
   if Array.length t.items < 2 then None
   else begin

@@ -72,9 +72,6 @@ val fold_within : t -> Point.t -> float -> init:'a -> f:('a -> int -> 'a) -> 'a
 
 val iter_within : t -> Point.t -> float -> (int -> unit) -> unit
 
-val indices_within : t -> Point.t -> float -> int list
-(** Indices within distance [r], unordered. *)
-
 val nearest_other : t -> int -> int option
 (** [nearest_other g i] is the index of the nearest point distinct from
     point [i] (ties broken by lower index), or [None] when the set has a

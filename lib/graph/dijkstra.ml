@@ -56,7 +56,3 @@ let path_edges r dst =
     in
     Some (walk [] dst)
   end
-
-let all_pairs ?pool g ~cost =
-  Adhoc_util.Pool.opt_init pool ~label:"dijkstra/all-pairs" (Graph.n g) (fun src ->
-      (run g ~cost ~src).dist)

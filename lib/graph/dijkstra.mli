@@ -20,8 +20,3 @@ val path : result -> int -> int list option
 
 val path_edges : result -> int -> int list option
 (** Edge-id sequence of the shortest path to the argument. *)
-
-val all_pairs : ?pool:Adhoc_util.Pool.t -> Graph.t -> cost:Cost.t -> float array array
-(** Dijkstra from every source: [O(n · m log n)].  Row [u] is the distance
-    vector from [u].  [?pool] runs the sources in parallel; rows are
-    bit-identical either way. *)

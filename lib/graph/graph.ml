@@ -211,12 +211,6 @@ let total_energy ?(kappa = 2.) g =
   done;
   !acc
 
-let is_subgraph h g =
-  n h = n g
-  &&
-  let rec ok id = id >= h.m || (mem_edge g h.eu.(id) h.ev.(id) && ok (id + 1)) in
-  ok 0
-
 let union a b =
   if a.n <> b.n then invalid_arg "Graph.union: node count mismatch";
   let builder = Builder.create a.n in

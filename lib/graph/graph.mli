@@ -109,10 +109,6 @@ val total_length : t -> float
 val total_energy : ?kappa:float -> t -> float
 (** Sum over edges of [len^kappa] (default [kappa = 2.]). *)
 
-val is_subgraph : t -> t -> bool
-(** [is_subgraph h g]: every edge of [h] joins the same node pair as some
-    edge of [g] (lengths not compared). *)
-
 val union : t -> t -> t
 (** Union of edge sets (same node count required); lengths from the first
     graph win on duplicates. *)

@@ -56,18 +56,3 @@ let of_graph g =
   let m = Graph.num_edges g in
   kruskal (Graph.n g) (Array.init m (Graph.edge_u g)) (Array.init m (Graph.edge_v g))
     (Array.init m (Graph.length g))
-
-let of_points points =
-  let n = Array.length points in
-  let k = n * (n - 1) / 2 in
-  let us = Array.make k 0 and vs = Array.make k 0 and lens = Array.make k 0. in
-  let i = ref 0 in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      us.(!i) <- u;
-      vs.(!i) <- v;
-      lens.(!i) <- Adhoc_geom.Point.dist points.(u) points.(v);
-      incr i
-    done
-  done;
-  kruskal n us vs lens

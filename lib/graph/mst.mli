@@ -27,9 +27,3 @@ val kruskal : int -> int array -> int array -> float array -> Graph.t
 val of_graph : Graph.t -> Graph.t
 (** Minimum spanning forest of the input (spanning tree per component),
     minimizing total edge length; candidates in edge-id order. *)
-
-val of_points : Adhoc_geom.Point.t array -> Graph.t
-(** MST of the complete Euclidean graph on the points, candidates in
-    ascending (u, v) order.  O(n²) candidates: an oracle and a small-n
-    baseline; {!Adhoc_topo.Euclidean_mst.build} finds the same tree from
-    O(n) Delaunay candidates. *)

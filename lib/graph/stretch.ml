@@ -31,20 +31,6 @@ let over_base_edges ?pool ~sub ~base ~cost () =
   let ratios = per_edge_profile ?pool ~sub ~base ~cost () in
   Array.fold_left Float.max 1. ratios
 
-let exact_small ~sub ~base ~cost =
-  check_compatible sub base;
-  let n = Graph.n base in
-  let ds = Floyd_warshall.run sub ~cost in
-  let db = Floyd_warshall.run base ~cost in
-  let worst = ref 1. in
-  for u = 0 to n - 1 do
-    for v = u + 1 to n - 1 do
-      if db.(u).(v) < infinity && db.(u).(v) > 0. then
-        worst := Float.max !worst (ds.(u).(v) /. db.(u).(v))
-    done
-  done;
-  !worst
-
 let vs_euclidean ?pool ~sub ~points () =
   let n = Graph.n sub in
   if Array.length points <> n then invalid_arg "Stretch.vs_euclidean: size mismatch";

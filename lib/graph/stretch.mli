@@ -20,10 +20,6 @@ val over_base_edges :
     node, [O(n · m_sub · log n)].  Returns [infinity] if some base edge's
     endpoints are disconnected in [sub], [1.] for an edgeless base. *)
 
-val exact_small : sub:Graph.t -> base:Graph.t -> cost:Cost.t -> float
-(** All-pairs stretch by double Floyd–Warshall, [O(n³)].  Test oracle for
-    {!over_base_edges}; use only on small graphs. *)
-
 val vs_euclidean :
   ?pool:Adhoc_util.Pool.t -> sub:Graph.t -> points:Adhoc_geom.Point.t array -> unit -> float
 (** Spanner ratio: [max_{u ≠ v} dist_sub(u,v) / |uv|] with the length cost

@@ -13,42 +13,6 @@ let num_edges t = Array.length t.offsets - 1
 
 let partners_of_length n : partners = Bigarray.Array1.create Bigarray.Int32 Bigarray.C_layout n
 
-(* One CSR structure from per-edge ascending rows. *)
-let of_rows model rows =
-  let m = Array.length rows in
-  let offsets = Array.make (m + 1) 0 in
-  for e = 0 to m - 1 do
-    offsets.(e + 1) <- offsets.(e) + Array.length rows.(e)
-  done;
-  let partners = partners_of_length offsets.(m) in
-  Array.iteri
-    (fun e row -> Array.iteri (fun k x -> partners.{offsets.(e) + k} <- Int32.of_int x) row)
-    rows;
-  { model; offsets; partners }
-
-let edge_pair g e =
-  let u, v = Graph.endpoints g e in
-  (u, v)
-
-let build_brute model ~points g =
-  let m = Graph.num_edges g in
-  let lists = Array.make m [] in
-  for e = 0 to m - 1 do
-    for e' = e + 1 to m - 1 do
-      if Model.interferes model ~points (edge_pair g e) (edge_pair g e') then begin
-        lists.(e) <- e' :: lists.(e);
-        lists.(e') <- e :: lists.(e')
-      end
-    done
-  done;
-  of_rows model
-    (Array.map
-       (fun l ->
-         let a = Array.of_list l in
-         Array.sort Int.compare a;
-         a)
-       lists)
-
 (* Model.in_region's strict test on coordinates: is (x, y) within the
    reach whose square is [r2] of the centre (cx, cy)?  Point.dist2's
    expression, written out so that no float is boxed. *)

@@ -53,13 +53,9 @@ val build :
     transposed into the unused tails of the rows, then two ascending
     passes fill each row's part below and above its own id.  [?pool]
     parallelizes the per-edge scans; the assembly runs sequentially, so
-    the rows are bit-identical for every pool size and equal
-    {!build_brute}'s.  Raises [Invalid_argument] when edge ids do not fit
-    in 31 bits. *)
-
-val build_brute :
-  Model.t -> points:Adhoc_geom.Point.t array -> Adhoc_graph.Graph.t -> t
-(** O(m²) reference implementation (test oracle). *)
+    the rows are bit-identical for every pool size and equal those of
+    the O(m²) pairwise scan.  Raises [Invalid_argument] when edge ids do
+    not fit in 31 bits. *)
 
 val num_edges : t -> int
 (** The number of rows: the topology's edge count. *)

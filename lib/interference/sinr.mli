@@ -23,24 +23,14 @@ type t = {
 val make : ?beta:float -> ?noise:float -> ?margin:float -> alpha:float -> unit -> t
 (** Defaults: [beta = 2.], [noise = 1e-6], [margin = 2.]. *)
 
-val tx_power : t -> float -> float
-(** Power used for a hop of the given length. *)
-
-val sinr :
-  t ->
-  points:Adhoc_geom.Point.t array ->
-  transmissions:(int * int) array ->
-  int ->
-  float
-(** [sinr t ~points ~transmissions i] is the SINR at the receiver of the
-    [i]-th simultaneous (sender, receiver) pair. *)
-
 val feasible :
   t ->
   points:Adhoc_geom.Point.t array ->
   transmissions:(int * int) array ->
   bool array
-(** Per-transmission success under simultaneous operation. *)
+(** Per-transmission success under simultaneous operation: entry [i] is
+    whether the SINR at the receiver of the [i]-th (sender, receiver)
+    pair clears [beta]. *)
 
 val all_feasible :
   t -> points:Adhoc_geom.Point.t array -> transmissions:(int * int) array -> bool

@@ -13,32 +13,6 @@ type t = {
     int;
 }
 
-(* Top-level loops rather than closures over the request arrays, so a
-   grant in request order allocates nothing. *)
-let grant_all ~count ~granted =
-  for i = 0 to count - 1 do
-    granted.(i) <- i
-  done;
-  count
-
-let color conflict =
-  let colors, num_colors = Conflict.greedy_coloring conflict in
-  let select ~step ~edge ~sender:_ ~benefit:_ ~count ~granted =
-    if num_colors = 0 then grant_all ~count ~granted
-    else begin
-      let active = step mod num_colors in
-      let n = ref 0 in
-      for i = 0 to count - 1 do
-        if colors.(edge.(i)) = active then begin
-          granted.(!n) <- i;
-          incr n
-        end
-      done;
-      !n
-    end
-  in
-  { name = "color-mac"; select }
-
 let random_interference ~rng conflict =
   (* I_e is the paper's neighbourhood bound, not |I(e)|: it dominates the
      interference-set size of every edge e interferes with, which is what
@@ -62,11 +36,10 @@ let random_interference ~rng conflict =
   in
   { name = "random-mac"; select }
 
-(* Shared by the carrier-sense MACs: greedily accept the requests in
-   [order] (indices), each iff no already-chosen edge interferes with it.
-   The edge's conflict row is walked against scratch marks over the
-   chosen set, so each candidate costs O(|I(e)|) instead of a scan of
-   everything chosen so far. *)
+(* Carrier sense: greedily accept the requests in [order] (indices), each
+   iff no already-chosen edge interferes with it.  The edge's conflict row
+   is walked against scratch marks over the chosen set, so each candidate
+   costs O(|I(e)|) instead of a scan of everything chosen so far. *)
 let greedy_accept conflict ~chosen_mark ~edge ~granted order =
   let n = ref 0 in
   for j = 0 to Array.length order - 1 do
@@ -83,15 +56,6 @@ let greedy_accept conflict ~chosen_mark ~edge ~granted order =
   done;
   !n
 
-let greedy_independent conflict =
-  let chosen_mark = Array.make (Conflict.num_edges conflict) false in
-  let select ~step:_ ~edge ~sender:_ ~benefit ~count ~granted =
-    let order = Array.init count Fun.id in
-    Array.stable_sort (fun a b -> Float.compare benefit.(b) benefit.(a)) order;
-    greedy_accept conflict ~chosen_mark ~edge ~granted order
-  in
-  { name = "greedy-mac"; select }
-
 let csma ~rng conflict =
   let chosen_mark = Array.make (Conflict.num_edges conflict) false in
   let select ~step:_ ~edge ~sender:_ ~benefit:_ ~count ~granted =
@@ -100,10 +64,6 @@ let csma ~rng conflict =
     greedy_accept conflict ~chosen_mark ~edge ~granted order
   in
   { name = "csma"; select }
-
-let all =
-  let select ~step:_ ~edge:_ ~sender:_ ~benefit:_ ~count ~granted = grant_all ~count ~granted in
-  { name = "all"; select }
 
 let instrument (obs : Adhoc_obs.sink) mac =
   let requests_c = Adhoc_obs.Metrics.counter obs.metrics ("mac." ^ mac.name ^ ".requests") in

@@ -5,17 +5,19 @@
     edges that still interfere (possible under randomized MACs) are
     resolved by the engine: both transmissions fail.
 
-    The three concrete MACs mirror the paper's three scenarios:
-    - {!color}: Scenario 1 (Section 3.2) — an idealised given MAC; colour
-      classes of the conflict graph are activated round-robin, so granted
-      sets are always interference-free.
+    The MACs the simulator runs:
     - {!random_interference}: Scenario 2 (Section 3.3) — each edge [e]
       independently becomes active with probability [1/(2·Iₑ)], the paper's
       symmetry-breaking rule (Lemma 3.2 bounds the collision probability).
     - {!Honeycomb} (own module): Scenario 3 (Section 3.4) — fixed
       transmission strength, hexagon contestants.
-    - {!greedy_independent}: an idealized upper-baseline that grants a
-      maximal independent set of the requests by decreasing benefit. *)
+    - {!csma}: carrier sense, the protocols the paper names as a given
+      MAC for Scenario 1; experiment E8 runs it next to the random MAC on
+      the same workload.
+
+    Scenario 1's runs (Section 3.2) take their interference-free edge
+    sets from the certified workload's schedule (the step kernel's
+    [Given] activation), not from a MAC. *)
 
 type t = {
   name : string;
@@ -42,11 +44,6 @@ type t = {
     stable order that starts from this one.  Entries of the arrays at or
     past [count] are ignored, so a caller can keep them preallocated. *)
 
-val color : Adhoc_interference.Conflict.t -> t
-(** Round-robin over a greedy colouring of the conflict graph: step [t]
-    grants, in request order, the requests whose edge has colour
-    [t mod k]. *)
-
 val random_interference : rng:Adhoc_util.Prng.t -> Adhoc_interference.Conflict.t -> t
 (** Activation probability [1/(2·Iₑ)] per edge per step, with [Iₑ] the
     paper's neighbourhood bound
@@ -56,22 +53,12 @@ val random_interference : rng:Adhoc_util.Prng.t -> Adhoc_interference.Conflict.t
     threshold (the same coin as [Prng.uniform rng < 1/(2·Iₑ)]); grants
     are in request order, and a step allocates nothing. *)
 
-val greedy_independent : Adhoc_interference.Conflict.t -> t
-(** Grants a maximal non-interfering subset, highest benefit first: the
-    requests in a stable sort by decreasing benefit, each granted unless
-    it interferes with one granted before it.  Grant order is that sort
-    order. *)
-
 val csma : rng:Adhoc_util.Prng.t -> Adhoc_interference.Conflict.t -> t
 (** Carrier-sense abstraction (CSMA/CA, MACA, 802.11 — the protocols the
     paper names for Scenario 1): contenders back off in a random order and
     transmit iff no already-transmitting edge interferes, yielding a
     maximal non-interfering subset chosen uniformly by arrival order
     rather than by benefit.  Grant order is the shuffled arrival order. *)
-
-val all : t
-(** Grants everything, in request order — for interference-free models
-    and tests. *)
 
 val instrument : Adhoc_obs.sink -> t -> t
 (** [instrument obs mac] wraps [mac] so every [select] is timed under span

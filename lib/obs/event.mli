@@ -103,9 +103,6 @@ val deliver : log -> step:int -> dst:int -> self:bool -> unit
 val epoch_change : log -> step:int -> epoch:int -> unit
 val height_advert : log -> step:int -> node:int -> unit
 
-val iter : log -> (int -> t -> unit) -> unit
-(** [iter log f] calls [f i event] for every recorded event in order. *)
-
 val to_array : log -> t array
 
 val last_step : log -> int
@@ -120,10 +117,9 @@ val add_observer : log -> (int -> t -> unit) -> unit
     and {!Adhoc_obs.Live.attach} both use this, so online checking and
     live analytics compose on one log. *)
 
-val write_jsonl : log -> out_channel -> unit
-(** Schema header line, then one JSON object per event. *)
-
 val save_jsonl : log -> string -> unit
+(** [save_jsonl log file] writes the schema header line, then one JSON
+    object per event, to [file]. *)
 
 val load_jsonl : string -> (t array, string) result
 (** Parse a file written by {!save_jsonl}, or the same objects re-written

@@ -161,8 +161,6 @@ let violations t = List.rev t.kept
 
 let ok t = t.count = 0
 
-let buffered t = t.buffered
-
 let report t =
   if ok t then Printf.sprintf "invariants ok (%d events checked)" t.checked
   else begin

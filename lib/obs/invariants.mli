@@ -83,8 +83,5 @@ val violations : t -> violation list
 
 val ok : t -> bool
 
-val buffered : t -> int
-(** Packets the fold believes are still buffered. *)
-
 val report : t -> string
 (** Human-readable multi-line summary ("ok" or the violations). *)

@@ -225,8 +225,6 @@ let finish t =
 
 let windows t = List.rev t.windows_rev
 
-let health t = t.health
-
 (* ------------------------------------------------------------------ *)
 (* JSONL (schema adhoc-live/1)                                         *)
 

@@ -113,23 +113,14 @@ val window_size : t -> int
 val top_k : int
 (** Heavy-hitter slots per table: 8. *)
 
-val health : t -> Invariants.t
-(** The online invariant fold (for {!Invariants.report}), under the
-    destination rule. *)
-
-val schema : string
-(** ["adhoc-live/1"]. *)
-
-val write_jsonl : t -> out_channel -> unit
-(** Header, one line per window, one final cumulative line.  Calls
-    {!finish}.  Floats use [%.17g] so the stream round-trips and the
-    online/replay byte-identity holds. *)
-
 val save_jsonl : t -> string -> unit
-
-val write_prometheus : t -> out_channel -> unit
-(** Prometheus text exposition of the final cumulative state (counters,
-    gauges, quantile-labelled summaries, labelled top-k gauges).  Calls
-    {!finish}.  Deterministic: no timestamps. *)
+(** [save_jsonl t file] writes the stream to [file]: the header, one line
+    per window, one final cumulative line.  Calls {!finish}.  Floats use
+    [%.17g] so the stream round-trips and the online/replay byte-identity
+    holds. *)
 
 val save_prometheus : t -> string -> unit
+(** [save_prometheus t file] writes the Prometheus text exposition of the
+    final cumulative state (counters, gauges, quantile-labelled summaries,
+    labelled top-k gauges) to [file].  Calls {!finish}.  Deterministic: no
+    timestamps. *)

@@ -10,13 +10,6 @@ let params ~threshold ~gamma ~capacity =
   if capacity < 1 then invalid_arg "Balancing.params: capacity must be at least 1";
   { threshold; gamma; capacity }
 
-type decision = {
-  src : int;
-  dst : int;
-  dest : int;
-  gain : float;
-}
-
 (* The one argmax.  It walks [src]'s live row and [dst]'s row of [seen]
    together, both ascending by destination, so each receiver height is
    one step of a second cursor instead of a binary search.  Destinations
@@ -47,21 +40,6 @@ let best_into (q : Buffers.Sparse.t) (seen : Buffers.Sparse.t) p ~costs ~edge ~s
   done;
   dests.(slot) <- !best_dest;
   gains.(slot) <- !best_gain
-
-let best_seen buffers seen p ~cost ~src ~dst =
-  let dests = [| -1 |] and gains = [| neg_infinity |] in
-  best_into (Buffers.heights buffers) seen p ~costs:[| cost |] ~edge:0 ~src ~dst ~dests ~gains 0;
-  if dests.(0) < 0 then None else Some { src; dst; dest = dests.(0); gain = gains.(0) }
-
-let best_toward buffers p ~cost ~src ~dst =
-  best_seen buffers (Buffers.heights buffers) p ~cost ~src ~dst
-
-let best_either buffers p ~cost ~u ~v =
-  let fwd = best_toward buffers p ~cost ~src:u ~dst:v in
-  let bwd = best_toward buffers p ~cost ~src:v ~dst:u in
-  match (fwd, bwd) with
-  | None, d | d, None -> d
-  | Some f, Some b -> if b.gain > f.gain then Some b else Some f
 
 module Derive = struct
   let capacity_of ~b ~t ~delta ~l ~epsilon =

@@ -17,28 +17,6 @@ val params :
   threshold:float -> gamma:float -> capacity:int -> params
 (** Validates [threshold >= 0.], [gamma >= 0.], [capacity >= 1]. *)
 
-type decision = {
-  src : int;
-  dst : int;
-  dest : int;  (** destination whose packet moves *)
-  gain : float;  (** [h_src − h_dst − γ·cost], guaranteed > threshold *)
-}
-
-val best_toward : Buffers.t -> params -> cost:float -> src:int -> dst:int -> decision option
-(** Best destination for the directed send [src → dst], or [None] when no
-    destination's gain exceeds the threshold.  O(#non-empty buffers at
-    [src]).  Ties broken by the lower destination index. *)
-
-val best_seen :
-  Buffers.t -> Buffers.Sparse.t -> params -> cost:float -> src:int -> dst:int -> decision option
-(** {!best_toward} with [dst]'s heights read from the given rows instead
-    of the live buffers: the heights [src] believes its neighbour has
-    (§3.2's advertised heights).  [best_toward b] is
-    [best_seen b (Buffers.heights b)]. *)
-
-val best_either : Buffers.t -> params -> cost:float -> u:int -> v:int -> decision option
-(** The better of the two directions (ties prefer [u → v]). *)
-
 val best_into :
   Buffers.Sparse.t ->
   Buffers.Sparse.t ->
@@ -52,13 +30,18 @@ val best_into :
   int ->
   unit
 (** [best_into q seen p ~costs ~edge ~src ~dst ~dests ~gains slot] is
-    {!best_seen} on the live height rows [q] ({!Buffers.heights}) with
-    cost [costs.(edge)], written into the caller's arrays:
-    [dests.(slot)] gets the chosen destination, or [-1] for [None], and
-    [gains.(slot)] its gain.  It is the one argmax behind every function
-    above.  It walks [src]'s row of [q] and [dst]'s row of [seen]
-    together, both ascending by destination, reading them as fields, and
-    allocates nothing, so the engines call it in their step loop. *)
+    the best destination for the directed send [src → dst] over an edge
+    of cost [costs.(edge)]: the [d] of [src]'s row of the live heights
+    [q] ({!Buffers.heights}) that maximizes
+    [q(src, d) − seen(dst, d) − γ·cost], when that gain exceeds the
+    threshold.  [seen] holds the heights [src] believes [dst] has: [q]
+    itself, or §3.2's advertised heights.  Ties go to the lower
+    destination index.  The result goes into the caller's arrays:
+    [dests.(slot)] gets the chosen destination, or [-1] when no gain
+    exceeds the threshold, and [gains.(slot)] its gain.  It walks [src]'s
+    row of [q] and [dst]'s row of [seen] together, both ascending by
+    destination, reading them as fields, and allocates nothing, so the
+    step kernel calls it in its loop. *)
 
 (** Deriving the paper's parameter settings from an optimal schedule's
     characteristics. *)

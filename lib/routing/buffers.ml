@@ -86,7 +86,6 @@ module Sparse = struct
 end
 
 type t = {
-  n : int;
   q : Sparse.t;  (* q.(v) row: nonzero heights h_{v,d}, ascending d *)
   mutable total : int;
   mutable watcher : (int -> int -> unit) option;  (* fires on every height change *)
@@ -99,15 +98,12 @@ type t = {
 
 let create n =
   {
-    n;
     q = Sparse.create n;
     total = 0;
     watcher = None;
     height_counts = Array.make 16 0;
     max_h = 0;
   }
-
-let nodes t = t.n
 
 let height t v d = Sparse.get t.q v d
 

@@ -53,8 +53,6 @@ val create : int -> t
 (** [create n] makes empty buffers for [n] nodes (and [n] possible
     destinations). *)
 
-val nodes : t -> int
-
 val height : t -> int -> int -> int
 (** [height t v d] is [h_{v,d}].  O(log live) binary search in [v]'s
     nonzero row. *)

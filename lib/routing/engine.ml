@@ -150,8 +150,7 @@ module Cache = struct
     c.edge_cost.(e) <- cost;
     c.valid.(e) <- false
 
-  (* The better direction's code, -1 for neither; ties go to u -> v, as
-     in {!Balancing.best_either}. *)
+  (* The better direction's code, -1 for neither; ties go to u -> v. *)
   let either c e =
     ensure c e;
     let f = 2 * e and b = (2 * e) + 1 in

@@ -26,15 +26,6 @@ let gaps_covered ~alpha angles =
       in
       max_gap first 0. (List.tl sorted) < alpha
 
-let coverage_ok ~alpha points u r =
-  let angles = ref [] in
-  Array.iteri
-    (fun v p ->
-      if v <> u && Point.dist points.(u) p <= r then
-        angles := Point.angle_of points.(u) p :: !angles)
-    points;
-  gaps_covered ~alpha !angles
-
 let build ?pool ~alpha ~range points =
   if alpha <= 0. || alpha > 2. *. Float.pi then invalid_arg "Cbtc.build: bad alpha";
   if range < 0. then invalid_arg "Cbtc.build: negative range";

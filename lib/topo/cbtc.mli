@@ -22,10 +22,3 @@ val build : ?pool:Adhoc_util.Pool.t -> alpha:float -> range:float -> Adhoc_geom.
     exact re-filtering, and [?pool] parallelizes the per-node radius
     growth and link derivation; the result is bit-identical to the brute
     sequential construction. *)
-
-val coverage_ok : alpha:float -> Adhoc_geom.Point.t array -> int -> float -> bool
-(** [coverage_ok ~alpha points u r]: every cone of angle [alpha] apexed at
-    [u] contains a neighbour within distance [r] — the algorithm's
-    per-node stopping condition (gap-based test over the sorted neighbour
-    angles).  Full-scan reference implementation; the grid path inside
-    {!build} is tested against it. *)

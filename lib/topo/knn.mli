@@ -13,11 +13,7 @@ val build :
     nearest neighbours of [u] (or vice versa) and within [range]
     (default unbounded).  Ties broken by node index.  Grid-accelerated
     expanding-radius search; [?pool] parallelizes per node.  Output is
-    bit-identical to {!build_brute}. *)
-
-val build_brute : ?range:float -> k:int -> Adhoc_geom.Point.t array -> Adhoc_graph.Graph.t
-(** O(n² log n) reference construction (full scan + sort per node) — the
-    test oracle for {!build}. *)
+    bit-identical to a full scan and sort per node. *)
 
 val min_connecting_k :
   ?pool:Adhoc_util.Pool.t -> ?range:float -> ?k_max:int -> Adhoc_geom.Point.t array -> int option

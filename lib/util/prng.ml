@@ -86,10 +86,6 @@ let shuffle g a =
     a.(j) <- tmp
   done
 
-let choose g a =
-  if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
-  a.(int g (Array.length a))
-
 let sample_without_replacement g k n =
   if k < 0 || k > n then invalid_arg "Prng.sample_without_replacement";
   (* Partial Fisher–Yates over an index array. *)

@@ -58,9 +58,6 @@ val exponential : t -> rate:float -> float
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniformly random element.  Requires a non-empty array. *)
-
 val sample_without_replacement : t -> int -> int -> int array
 (** [sample_without_replacement g k n] returns [k] distinct integers drawn
     uniformly from [0, n-1], in random order.  Requires [0 <= k <= n]. *)

@@ -31,6 +31,3 @@ val to_string : t -> string
 
 val print : t -> unit
 (** [to_string] followed by a newline on stdout. *)
-
-val fmt_f : ?decimals:int -> float -> string
-(** Fixed-point float formatter, default 3 decimals. *)

@@ -40,6 +40,22 @@ let edge_set g =
       (e.Adhoc_graph.Graph.u, e.Adhoc_graph.Graph.v) :: acc)
   |> List.sort compare
 
+(* [is_subgraph h g]: every edge of [h] joins the same node pair as some
+   edge of [g] (lengths not compared). *)
+let is_subgraph h g =
+  let module Graph = Adhoc_graph.Graph in
+  Graph.n h = Graph.n g
+  &&
+  let rec ok id =
+    id >= Graph.num_edges h
+    || (Graph.mem_edge g (Graph.edge_u h id) (Graph.edge_v h id) && ok (id + 1))
+  in
+  ok 0
+
+(* The indices within distance [r] of [p] in a spatial grid, unordered. *)
+let indices_within grid p r =
+  Adhoc_geom.Spatial_grid.fold_within grid p r ~init:[] ~f:(fun acc i -> i :: acc)
+
 (* A graph bit for bit: node count, then every edge's id, endpoints and
    length (never nan), so polymorphic equality is exact. *)
 let graph_digest g =

@@ -110,3 +110,73 @@ let grant (mac : Mac.t) ~step requests =
       ~count ~granted
   in
   List.init n (fun i -> reqs.(granted.(i)))
+
+(* The array MACs that no scenario of the simulator selects, on the
+   interface of Adhoc_mac.Mac: the idealised colour-class MAC, the
+   benefit-greedy independent set and the grant-everything MAC.  The
+   engine tests run the step kernel under them. *)
+module Array_mac = struct
+  (* Top-level loops rather than closures over the request arrays, so a
+     grant in request order allocates nothing. *)
+  let grant_all ~count ~granted =
+    for i = 0 to count - 1 do
+      granted.(i) <- i
+    done;
+    count
+
+  (* Round-robin over a greedy colouring of the conflict graph: step [t]
+     grants, in request order, the requests whose edge has colour
+     [t mod k]. *)
+  let color conflict =
+    let colors, num_colors = Conflict.greedy_coloring conflict in
+    let select ~step ~edge ~sender:_ ~benefit:_ ~count ~granted =
+      if num_colors = 0 then grant_all ~count ~granted
+      else begin
+        let active = step mod num_colors in
+        let n = ref 0 in
+        for i = 0 to count - 1 do
+          if colors.(edge.(i)) = active then begin
+            granted.(!n) <- i;
+            incr n
+          end
+        done;
+        !n
+      end
+    in
+    { Mac.name = "color-mac"; select }
+
+  (* Greedily accept the requests in [order] (indices), each iff no
+     already-chosen edge interferes with it. *)
+  let greedy_accept conflict ~chosen_mark ~edge ~granted order =
+    let n = ref 0 in
+    for j = 0 to Array.length order - 1 do
+      let i = order.(j) in
+      let e = edge.(i) in
+      if not (Conflict.row_marked conflict chosen_mark e) then begin
+        chosen_mark.(e) <- true;
+        granted.(!n) <- i;
+        incr n
+      end
+    done;
+    for j = 0 to !n - 1 do
+      chosen_mark.(edge.(granted.(j))) <- false
+    done;
+    !n
+
+  (* A maximal non-interfering subset, highest benefit first: the
+     requests in a stable sort by decreasing benefit, each granted unless
+     it interferes with one granted before it. *)
+  let greedy_independent conflict =
+    let chosen_mark = Array.make (Conflict.num_edges conflict) false in
+    let select ~step:_ ~edge ~sender:_ ~benefit ~count ~granted =
+      let order = Array.init count Fun.id in
+      Array.stable_sort (fun a b -> Float.compare benefit.(b) benefit.(a)) order;
+      greedy_accept conflict ~chosen_mark ~edge ~granted order
+    in
+    { Mac.name = "greedy-mac"; select }
+
+  (* Grants everything, in request order. *)
+  let all =
+    let select ~step:_ ~edge:_ ~sender:_ ~benefit:_ ~count ~granted = grant_all ~count ~granted in
+    { Mac.name = "all"; select }
+end

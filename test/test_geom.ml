@@ -27,15 +27,7 @@ let test_point_angles () =
   check_close "east" 0. (Point.angle_of (pt 0. 0.) (pt 1. 0.));
   check_close "north" (Float.pi /. 2.) (Point.angle_of (pt 0. 0.) (pt 0. 1.));
   check_close "west" Float.pi (Point.angle_of (pt 0. 0.) (pt (-1.) 0.));
-  check_close "south" (3. *. Float.pi /. 2.) (Point.angle_of (pt 0. 0.) (pt 0. (-1.)));
-  check_close "right angle" (Float.pi /. 2.)
-    (Point.angle_between (pt 1. 0.) (pt 0. 0.) (pt 0. 1.));
-  check_close "collinear" 0. (Point.angle_between (pt 1. 0.) (pt 0. 0.) (pt 2. 0.))
-
-let test_point_rotate () =
-  let r = Point.rotate (Float.pi /. 2.) (pt 1. 0.) in
-  check_close ~eps:1e-12 "rot x" 0. r.Point.x;
-  check_close "rot y" 1. r.Point.y
+  check_close "south" (3. *. Float.pi /. 2.) (Point.angle_of (pt 0. 0.) (pt 0. (-1.)))
 
 let test_point_misc () =
   let m = Point.midpoint (pt 0. 0.) (pt 2. 4.) in
@@ -45,13 +37,6 @@ let test_point_misc () =
   Alcotest.(check bool) "equal" true (Point.equal (pt 1. 2.) (pt 1. 2.));
   Alcotest.(check bool) "compare" true (Point.compare (pt 1. 2.) (pt 1. 3.) < 0);
   Alcotest.(check string) "to_string" "(1, 2)" (Point.to_string (pt 1. 2.))
-
-let test_point_rotate_preserves_norm =
-  qtest "rotation preserves norm"
-    QCheck2.Gen.(triple (float_range (-10.) 10.) (float_range (-10.) 10.) (float_range 0. 6.28))
-    (fun (x, y, a) ->
-      let p = pt x y in
-      close ~eps:1e-9 (Point.norm p) (Point.norm (Point.rotate a p)))
 
 (* ------------------------------------------------------------------ *)
 (* Sector                                                              *)
@@ -188,7 +173,7 @@ let test_grid_within_matches_brute =
       let grid = Spatial_grid.build ~cell:(Prng.range rng 0.05 0.5) points in
       let p = pt (Prng.uniform rng) (Prng.uniform rng) in
       let r = Prng.range rng 0.01 0.8 in
-      List.sort compare (Spatial_grid.indices_within grid p r) = brute_within points p r)
+      List.sort compare (indices_within grid p r) = brute_within points p r)
 
 (* The ring scan [fold_within] ran before it scanned a box, kept as the
    reference for its order: every cell within 1 + ceil (r / cell) rings of
@@ -240,7 +225,7 @@ let test_grid_box_matches_ring =
           List.for_all
             (fun q ->
               List.for_all
-                (fun r -> Spatial_grid.indices_within grid q r = ring_within grid q r)
+                (fun r -> indices_within grid q r = ring_within grid q r)
                 (edge r @ [ r *. (1. +. 1e-9) ]))
             (p :: Array.to_list points))
         cells)
@@ -255,7 +240,7 @@ let test_grid_huge_radius () =
       Alcotest.(check (list int))
         (Printf.sprintf "every point within %g" r)
         (brute_within points (pt 0.5 0.5) r)
-        (List.sort compare (Spatial_grid.indices_within grid (pt 0.5 0.5) r)))
+        (List.sort compare (indices_within grid (pt 0.5 0.5) r)))
     [ 1e18; 1e150; 1e160; infinity ]
 
 let brute_nearest_other points i =
@@ -305,11 +290,18 @@ let test_hex_containment_radius =
          center. *)
       Point.dist p (Hexgrid.center g c) <= side +. 1e-9)
 
+(* Graph distance on the hexagonal lattice, to check the neighbours and
+   rings against. *)
+let hex_distance (a : Hexgrid.coord) (b : Hexgrid.coord) =
+  let dq = a.q - b.q and dr = a.r - b.r in
+  let ds = -dq - dr in
+  (abs dq + abs dr + abs ds) / 2
+
 let test_hex_neighbors () =
   let c = { Hexgrid.q = 2; r = -1 } in
   let ns = Hexgrid.neighbors c in
   Alcotest.(check int) "six neighbors" 6 (List.length ns);
-  List.iter (fun n -> Alcotest.(check int) "distance one" 1 (Hexgrid.hex_distance c n)) ns;
+  List.iter (fun n -> Alcotest.(check int) "distance one" 1 (hex_distance c n)) ns;
   Alcotest.(check int) "distinct" 6 (List.length (List.sort_uniq Hexgrid.compare_coord ns))
 
 let test_hex_ring_disk () =
@@ -318,23 +310,9 @@ let test_hex_ring_disk () =
   Alcotest.(check int) "ring 1" 6 (List.length (Hexgrid.ring c 1));
   Alcotest.(check int) "ring 3" 18 (List.length (Hexgrid.ring c 3));
   List.iter
-    (fun h -> Alcotest.(check int) "ring distance" 3 (Hexgrid.hex_distance c h))
+    (fun h -> Alcotest.(check int) "ring distance" 3 (hex_distance c h))
     (Hexgrid.ring c 3);
   Alcotest.(check int) "disk 2" 19 (List.length (Hexgrid.disk c 2))
-
-let test_hex_distance_triangle =
-  qtest "hex distance symmetric and triangle"
-    QCheck2.Gen.(
-      triple
-        (pair (int_range (-10) 10) (int_range (-10) 10))
-        (pair (int_range (-10) 10) (int_range (-10) 10))
-        (pair (int_range (-10) 10) (int_range (-10) 10)))
-    (fun ((aq, ar), (bq, br), (cq, cr)) ->
-      let a = { Hexgrid.q = aq; r = ar }
-      and b = { Hexgrid.q = bq; r = br }
-      and c = { Hexgrid.q = cq; r = cr } in
-      Hexgrid.hex_distance a b = Hexgrid.hex_distance b a
-      && Hexgrid.hex_distance a c <= Hexgrid.hex_distance a b + Hexgrid.hex_distance b c)
 
 let test_hex_group_points () =
   let g = Hexgrid.make ~side:1. in
@@ -427,7 +405,7 @@ let test_grid_query_includes_self =
       let grid = Spatial_grid.build ~cell:0.1 points in
       let rng = Prng.create (seed + 3) in
       let i = Prng.int rng (Array.length points) in
-      List.mem i (Spatial_grid.indices_within grid points.(i) 1e-12))
+      List.mem i (indices_within grid points.(i) 1e-12))
 
 let () =
   Alcotest.run "geom"
@@ -437,9 +415,7 @@ let () =
           case "arith" test_point_arith;
           case "dist/energy" test_point_dist;
           case "angles" test_point_angles;
-          case "rotate" test_point_rotate;
           case "misc" test_point_misc;
-          test_point_rotate_preserves_norm;
         ] );
       ( "sector",
         [
@@ -492,7 +468,6 @@ let () =
           test_hex_containment_radius;
           case "neighbors" test_hex_neighbors;
           case "ring/disk" test_hex_ring_disk;
-          test_hex_distance_triangle;
           case "group points" test_hex_group_points;
         ] );
     ]

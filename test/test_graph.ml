@@ -4,7 +4,7 @@ module Dijkstra = Adhoc_graph.Dijkstra
 module Bfs = Adhoc_graph.Bfs
 module Components = Adhoc_graph.Components
 module Mst = Adhoc_graph.Mst
-module Floyd_warshall = Adhoc_graph.Floyd_warshall
+module Floyd_warshall = Reference_stretch.Floyd_warshall
 module Stretch = Adhoc_graph.Stretch
 open Helpers
 
@@ -102,7 +102,7 @@ let test_union_subgraph =
       in
       let a = mk s1 and c = mk s2 in
       let u = Graph.union a c in
-      Graph.is_subgraph a u && Graph.is_subgraph c u)
+      is_subgraph a u && is_subgraph c u)
 
 (* ------------------------------------------------------------------ *)
 (* CSR storage vs naive reference                                      *)
@@ -235,9 +235,7 @@ let test_dijkstra_line () =
   let g = Graph.of_edges ~n:4 [ (0, 1, 1.); (1, 2, 2.); (2, 3, 4.) ] in
   let r = Dijkstra.run g ~cost:Cost.length ~src:0 in
   check_close "dist 3" 7. r.Dijkstra.dist.(3);
-  check_close "distance fn" 7. (Dijkstra.distance g ~cost:Cost.length 0 3);
-  let ap = Dijkstra.all_pairs g ~cost:Cost.length in
-  check_close "all pairs" 6. ap.(1).(3)
+  check_close "distance fn" 7. (Dijkstra.distance g ~cost:Cost.length 0 3)
 
 let test_dijkstra_unreachable () =
   let g = Graph.of_edges ~n:4 [ (0, 1, 1.); (2, 3, 1.) ] in
@@ -285,7 +283,7 @@ let test_mst_known () =
 
 let test_mst_of_points () =
   let pts = [| Point.make 0. 0.; Point.make 1. 0.; Point.make 2. 0.; Point.make 10. 0. |] in
-  let t = Mst.of_points pts in
+  let t = Reference_mst.of_points pts in
   Alcotest.(check int) "edges" 3 (Graph.num_edges t);
   check_close "weight" 10. (Graph.total_length t)
 
@@ -334,7 +332,7 @@ let geometric_pair seed =
   let rng = Prng.create seed in
   let points = points_of_seed ~min_n:5 ~max_n:16 seed in
   let n = Array.length points in
-  let base = Adhoc_graph.Mst.of_points points in
+  let base = Reference_mst.of_points points in
   (* Base: MST plus extra random geometric edges. *)
   let b = Graph.Builder.create n in
   ignore
@@ -359,7 +357,7 @@ let test_stretch_edge_reduction_exact =
       List.for_all
         (fun cost ->
           close ~eps:1e-9
-            (Stretch.exact_small ~sub ~base ~cost)
+            (Reference_stretch.exact_small ~sub ~base ~cost)
             (Stretch.over_base_edges ~sub ~base ~cost ()))
         [ Cost.length; Cost.energy ~kappa:2.; Cost.energy ~kappa:3. ])
 

@@ -141,7 +141,7 @@ let test_build_matches_brute =
       in
       let m = Model.make ~delta in
       let fast = Conflict.build m ~points g in
-      let brute = Conflict.build_brute m ~points g in
+      let brute = Reference_conflict.build_brute m ~points g in
       let rows = conflict_rows brute in
       let edges = List.init (Graph.num_edges g) Fun.id in
       (* [interfere] answers membership in the rows for every ordered
@@ -165,7 +165,7 @@ let test_build_matches_brute_build_4k_eighth () =
   let points, g = build_4k_instance 512 in
   let m = Model.make ~delta:0.5 in
   let fast = Conflict.build m ~points g in
-  Alcotest.(check bool) "same rows" true (fast = Conflict.build_brute m ~points g)
+  Alcotest.(check bool) "same rows" true (fast = Reference_conflict.build_brute m ~points g)
 
 (* The Set-based candidate search allocated 77.2M minor words here; the
    per-edge scan with counting-pass assembly 16.3M while its keep test went

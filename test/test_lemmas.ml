@@ -8,6 +8,21 @@ open Helpers
 
 let pt = Point.make
 
+(* Rotate a vector about the origin by [a] radians, counter-clockwise. *)
+let rotate a (p : Point.t) =
+  let c = cos a and s = sin a in
+  pt ((c *. p.x) -. (s *. p.y)) ((s *. p.x) +. (c *. p.y))
+
+(* The unsigned angle a·apex·b in [0, π]. *)
+let angle_between a apex b =
+  let u = Point.(a -@ apex) and v = Point.(b -@ apex) in
+  let nu = Point.norm u and nv = Point.norm v in
+  if Float.equal nu 0. || Float.equal nv 0. then 0.
+  else begin
+    let c = Point.dot u v /. (nu *. nv) in
+    Float.acos (Float.max (-1.) (Float.min 1. c))
+  end
+
 (* Lemma 2.3: triangle ABC with |AC| <= |BC| and angle ACB <= pi/3 satisfies
    c|AB|^2 + |AC|^2 <= c|BC|^2 for c >= 1/(2 cos(angle ACB) - 1). *)
 let lemma_2_3 =
@@ -98,7 +113,7 @@ let lemma_2_6 =
       let circle = Circle.make o (Point.dist o a) in
       (* D above the axis with |BD| = |AB| = 1 and angle DBA = pi/6. *)
       let d =
-        let dir = Point.rotate (-.Float.pi /. 6.) Point.(a -@ b) in
+        let dir = rotate (-.Float.pi /. 6.) Point.(a -@ b) in
         Point.(b +@ dir)
       in
       (* C above the axis, outside the circle, |AC| <= 1, angle CAB < pi/12. *)
@@ -116,7 +131,7 @@ let lemma_2_6 =
                 if Point.dist c p < Point.dist c best then p else best)
               (List.hd es) es
           in
-          let eab = Point.angle_between e a b in
+          let eab = angle_between e a b in
           eab <= (2. *. gamma) +. 1e-9)
 
 let () =

@@ -28,7 +28,7 @@ let all_requests g =
 let test_color_grants_independent =
   qtest "colour MAC grants are non-interfering" ~count:40 seed_gen (fun seed ->
       let _, _, g, c = overlay_instance seed in
-      let mac = Mac.color c in
+      let mac = R.Array_mac.color c in
       let reqs = all_requests g in
       let ok = ref true in
       for step = 0 to 20 do
@@ -40,7 +40,7 @@ let test_color_grants_independent =
 let test_color_covers_all_edges =
   qtest "every edge granted once per colour cycle" ~count:40 seed_gen (fun seed ->
       let _, _, g, c = overlay_instance seed in
-      let mac = Mac.color c in
+      let mac = R.Array_mac.color c in
       let reqs = all_requests g in
       let _, k = Conflict.greedy_coloring c in
       let granted = ref [] in
@@ -92,7 +92,7 @@ let test_random_mac_subset =
 let test_greedy_mac =
   qtest "greedy MAC: independent, maximal, benefit-greedy" ~count:40 seed_gen (fun seed ->
       let _, _, g, c = overlay_instance seed in
-      let mac = Mac.greedy_independent c in
+      let mac = R.Array_mac.greedy_independent c in
       let reqs = all_requests g in
       let granted = R.grant mac ~step:0 reqs in
       let ids = List.map (fun r -> r.R.edge) granted in
@@ -107,7 +107,7 @@ let test_all_mac () =
   let reqs =
     [ { R.edge = 0; sender = 1; benefit = 2. }; { R.edge = 4; sender = 3; benefit = 1. } ]
   in
-  Alcotest.(check bool) "identity" true (R.grant Mac.all ~step:3 reqs = reqs)
+  Alcotest.(check bool) "identity" true (R.grant R.Array_mac.all ~step:3 reqs = reqs)
 
 
 let test_csma_independent_and_maximal =
@@ -277,7 +277,7 @@ let test_honeycomb_lemma_3_6 () =
   let contestants = R.grant (Honeycomb.mac hc) ~step:0 requests in
   let benefit l = List.fold_left (fun a (r : R.request) -> a +. r.R.benefit) 0. l in
   (* Benefit-greedy independent set as a stand-in for the best one. *)
-  let indep = R.grant (Mac.greedy_independent conflict) ~step:0 requests in
+  let indep = R.grant (R.Array_mac.greedy_independent conflict) ~step:0 requests in
   Alcotest.(check bool) "within constant factor" true
     (benefit contestants *. 24. >= benefit indep)
 
@@ -311,11 +311,11 @@ let test_array_macs_match_reference =
       let points, _, g, c = overlay_instance seed in
       let pairs =
         [
-          ((fun _ -> Mac.color c), fun _ -> R.color c);
+          ((fun _ -> R.Array_mac.color c), fun _ -> R.color c);
           ((fun rng -> Mac.random_interference ~rng c), fun rng -> R.random_interference ~rng c);
-          ((fun _ -> Mac.greedy_independent c), fun _ -> R.greedy_independent c);
+          ((fun _ -> R.Array_mac.greedy_independent c), fun _ -> R.greedy_independent c);
           ((fun rng -> Mac.csma ~rng c), fun rng -> R.csma ~rng c);
-          ((fun _ -> Mac.all), fun _ -> R.all);
+          ((fun _ -> R.Array_mac.all), fun _ -> R.all);
           ( (fun rng ->
               Honeycomb.mac (Honeycomb.create ~delta:0.5 ~range:0.05 ~threshold:1. ~rng points)),
             fun rng ->

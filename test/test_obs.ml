@@ -786,8 +786,9 @@ let test_events_golden_plain () = ignore (checked_run "plain" golden_plain run_p
 let test_events_golden_csma () = ignore (checked_run "csma" golden_csma run_csma)
 
 let test_events_collisions_checked () =
-  (* Mac.all with a collision structure forces interfering grants to
-     collide, exercising the Collide emission and its invariants. *)
+  (* The grant-everything MAC with a collision structure forces
+     interfering grants to collide, exercising the Collide emission and
+     its invariants. *)
   let b, params, w, _ = Lazy.force fixture in
   let log = Event.create () in
   let obs = Obs.create ~events:log () in
@@ -795,7 +796,7 @@ let test_events_collisions_checked () =
   Invariants.attach checker log;
   let stats =
     Engine.run_with_mac ~cooldown:200 ~obs ~collisions:b.Pipeline.conflict
-      ~graph:b.Pipeline.overlay ~cost:Cost.length ~params ~mac:Adhoc_mac.Mac.all w
+      ~graph:b.Pipeline.overlay ~cost:Cost.length ~params ~mac:Reference_mac.Array_mac.all w
   in
   Alcotest.(check bool) "collisions actually happened" true (stats.Engine.failed_sends > 0);
   Invariants.final_check checker ~injected:stats.Engine.injected

@@ -1,5 +1,4 @@
 open Adhoc
-module Graph = Adhoc_graph.Graph
 open Helpers
 
 let build seed =
@@ -11,7 +10,7 @@ let build seed =
 let test_prepare_invariants =
   qtest "prepare: overlay ⊆ G*, connected, I consistent" ~count:15 seed_gen (fun seed ->
       let b = build seed in
-      Graph.is_subgraph b.Pipeline.overlay b.Pipeline.gstar
+      is_subgraph b.Pipeline.overlay b.Pipeline.gstar
       && Graphs.Components.is_connected b.Pipeline.overlay
       && b.Pipeline.interference_number
          = Interference.Conflict.interference_number b.Pipeline.conflict)

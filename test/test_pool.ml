@@ -191,17 +191,6 @@ let test_cbtc_radii_invariant =
               (Topo.Cbtc.build ~pool:p ~alpha ~range points).Topo.Cbtc.radii = reference))
         jobs_sweep)
 
-let test_all_pairs_invariant =
-  qtest "dijkstra all-pairs jobs-invariant" ~count:30 seed_gen (fun seed ->
-      let points = points_of_seed seed in
-      let g = Topo.Udg.build ~range:(range_of points) points in
-      let cost = Adhoc_graph.Cost.energy ~kappa:2. in
-      let reference = Adhoc_graph.Dijkstra.all_pairs g ~cost in
-      List.for_all
-        (fun jobs ->
-          Pool.with_pool ~jobs (fun p -> Adhoc_graph.Dijkstra.all_pairs ~pool:p g ~cost = reference))
-        jobs_sweep)
-
 let test_stretch_invariant =
   qtest "stretch sweeps jobs-invariant" ~count:20 seed_gen (fun seed ->
       let points = points_of_seed seed in
@@ -256,11 +245,11 @@ let test_knn_vs_brute =
       let points = points_of_seed seed in
       List.for_all
         (fun k ->
-          graph_digest (Topo.Knn.build ~k points) = graph_digest (Topo.Knn.build_brute ~k points)
+          graph_digest (Topo.Knn.build ~k points) = graph_digest (Reference_knn.build_brute ~k points)
           &&
           let range = range_of points in
           graph_digest (Topo.Knn.build ~range ~k points)
-          = graph_digest (Topo.Knn.build_brute ~range ~k points))
+          = graph_digest (Reference_knn.build_brute ~range ~k points))
         [ 1; 3; 7 ])
 
 let test_cbtc_vs_brute =
@@ -281,7 +270,7 @@ let test_cbtc_vs_brute =
         in
         let rec grow = function
           | [] -> range
-          | d :: rest -> if Topo.Cbtc.coverage_ok ~alpha points u d then d else grow rest
+          | d :: rest -> if Reference_cbtc.coverage_ok ~alpha points u d then d else grow rest
         in
         let c = Float.compare (grow dists) t.Topo.Cbtc.radii.(u) in
         if c <> 0 then ok := false
@@ -309,7 +298,6 @@ let () =
             test_selections_invariant;
             test_theta_alg_build_invariant;
             test_cbtc_radii_invariant;
-            test_all_pairs_invariant;
             test_stretch_invariant;
             test_conflict_invariant;
           ] );

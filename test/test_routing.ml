@@ -4,6 +4,7 @@ module Cost = Adhoc_graph.Cost
 module Conflict = Adhoc_interference.Conflict
 module Model = Adhoc_interference.Model
 module Mac = Adhoc_mac.Mac
+module Array_mac = Reference_mac.Array_mac
 module Event = Adhoc_obs.Event
 module Honeycomb = Adhoc_mac.Honeycomb
 module Udg = Adhoc_topo.Udg
@@ -227,10 +228,10 @@ let test_balancing_picks_argmax () =
   for _ = 1 to 3 do
     ignore (Buffers.inject b ~cap:100 0 3)
   done;
-  (match Balancing.best_toward b p ~cost:0.5 ~src:0 ~dst:1 with
+  (match Reference_balancing.best_toward b p ~cost:0.5 ~src:0 ~dst:1 with
   | Some d ->
-      Alcotest.(check int) "dest" 2 d.Balancing.dest;
-      check_close "gain" (5. -. 0. -. 0.5) d.Balancing.gain
+      Alcotest.(check int) "dest" 2 d.Reference_balancing.dest;
+      check_close "gain" (5. -. 0. -. 0.5) d.Reference_balancing.gain
   | None -> Alcotest.fail "expected a decision");
   (* Raise destination-side height: gain drops below threshold. *)
   for _ = 1 to 5 do
@@ -240,7 +241,7 @@ let test_balancing_picks_argmax () =
     Buffers.force_add b 1 3
   done;
   Alcotest.(check bool) "no decision" true
-    (Balancing.best_toward b p ~cost:0.5 ~src:0 ~dst:1 = None)
+    (Reference_balancing.best_toward b p ~cost:0.5 ~src:0 ~dst:1 = None)
 
 let test_balancing_threshold_strict () =
   let b = Buffers.create 2 in
@@ -250,10 +251,10 @@ let test_balancing_threshold_strict () =
   done;
   (* Gain = 3 which is not > 3. *)
   Alcotest.(check bool) "not above threshold" true
-    (Balancing.best_toward b p ~cost:1. ~src:0 ~dst:1 = None);
+    (Reference_balancing.best_toward b p ~cost:1. ~src:0 ~dst:1 = None);
   ignore (Buffers.inject b ~cap:10 0 1);
   Alcotest.(check bool) "above threshold" true
-    (Balancing.best_toward b p ~cost:1. ~src:0 ~dst:1 <> None)
+    (Reference_balancing.best_toward b p ~cost:1. ~src:0 ~dst:1 <> None)
 
 let test_balancing_best_either () =
   let b = Buffers.create 2 in
@@ -261,10 +262,10 @@ let test_balancing_best_either () =
   for _ = 1 to 3 do
     Buffers.force_add b 1 0
   done;
-  match Balancing.best_either b p ~cost:0. ~u:0 ~v:1 with
+  match Reference_balancing.best_either b p ~cost:0. ~u:0 ~v:1 with
   | Some d ->
-      Alcotest.(check int) "sends from higher side" 1 d.Balancing.src;
-      Alcotest.(check int) "toward lower" 0 d.Balancing.dst
+      Alcotest.(check int) "sends from higher side" 1 d.Reference_balancing.src;
+      Alcotest.(check int) "toward lower" 0 d.Reference_balancing.dst
   | None -> Alcotest.fail "expected decision"
 
 let test_derive_3_1 () =
@@ -359,13 +360,13 @@ let test_balancing_order_independent =
         for dst = 0 to n - 1 do
           if src <> dst then begin
             if
-              Balancing.best_toward forward p ~cost ~src ~dst
-              <> Balancing.best_toward churned p ~cost ~src ~dst
+              Reference_balancing.best_toward forward p ~cost ~src ~dst
+              <> Reference_balancing.best_toward churned p ~cost ~src ~dst
             then ok := false;
             if
               src < dst
-              && Balancing.best_either forward p ~cost ~u:src ~v:dst
-                 <> Balancing.best_either churned p ~cost ~u:src ~v:dst
+              && Reference_balancing.best_either forward p ~cost ~u:src ~v:dst
+                 <> Reference_balancing.best_either churned p ~cost ~u:src ~v:dst
             then ok := false
           end
         done
@@ -414,11 +415,11 @@ let test_balancing_matches_oracle =
         match (decision, expected) with
         | None, None -> true
         | Some dec, Some (d, gain) ->
-            dec.Balancing.dest = d
-            && dec.Balancing.gain = gain
-            && dec.Balancing.gain > p.Balancing.threshold
-            && dec.Balancing.src = src
-            && dec.Balancing.dst = dst
+            dec.Reference_balancing.dest = d
+            && dec.Reference_balancing.gain = gain
+            && dec.Reference_balancing.gain > p.Balancing.threshold
+            && dec.Reference_balancing.src = src
+            && dec.Reference_balancing.dst = dst
         | _ -> false
       in
       let ok = ref true in
@@ -428,13 +429,13 @@ let test_balancing_matches_oracle =
             if
               not
                 (agrees ~src ~dst
-                   (Balancing.best_toward b p ~cost ~src ~dst)
+                   (Reference_balancing.best_toward b p ~cost ~src ~dst)
                    (oracle ~src heights.(dst)))
             then ok := false;
             if
               not
                 (agrees ~src ~dst
-                   (Balancing.best_seen b seen p ~cost ~src ~dst)
+                   (Reference_balancing.best_seen b seen p ~cost ~src ~dst)
                    (oracle ~src seen_heights.(dst)))
             then ok := false
           end
@@ -847,7 +848,7 @@ let test_engine_ties_in_listed_order () =
           [ { Engine.graph = g; cost = Cost.length; activation; steps = 2; epoch = None } ]
       in
       Alcotest.(check (list (pair int int))) name [ (1, 0) ] (List.rev !sends))
-    [ ("rounds", Engine.Rounds None); ("all MAC", Engine.Arbitrated (Mac.all, None)) ]
+    [ ("rounds", Engine.Rounds None); ("all MAC", Engine.Arbitrated (Array_mac.all, None)) ]
 
 let test_engine_phases_share_nodes () =
   let line n = Graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1, 1.))) in
@@ -1586,15 +1587,15 @@ let test_quantized_pool_invariant =
    called it holds the step's starting heights.  The sink wraps the
    recorder in turn with Mac.instrument, which hands it the engine's
    arrays unchanged.  The arrays handed to [select] must list exactly
-   every edge whose better direction ({!Balancing.best_either}) clears
-   the threshold, in ascending edge id, with sender = src and benefit =
-   gain. *)
+   every edge whose better direction ({!Reference_balancing.best_either})
+   clears the threshold, in ascending edge id, with sender = src and
+   benefit = gain. *)
 let scan_requests g params replica =
   List.filter_map
     (fun e ->
       let u, v = Graph.endpoints g e in
-      Balancing.best_either replica params ~cost:(Cost.length (Graph.length g e)) ~u ~v
-      |> Option.map (fun (d : Balancing.decision) -> (e, d.Balancing.src, d.Balancing.gain)))
+      Reference_balancing.best_either replica params ~cost:(Cost.length (Graph.length g e)) ~u ~v
+      |> Option.map (fun (d : Reference_balancing.decision) -> (e, d.src, d.gain)))
     (List.init (Graph.num_edges g) Fun.id)
 
 let test_requests_match_scan =
@@ -1632,7 +1633,7 @@ let test_requests_match_scan =
       in
       (* A fresh MAC per run, so the random one draws the same coins. *)
       let macs =
-        [ (fun () -> Mac.all); (fun () -> Mac.random_interference ~rng:(Prng.create (seed + 1)) c) ]
+        [ (fun () -> Array_mac.all); (fun () -> Mac.random_interference ~rng:(Prng.create (seed + 1)) c) ]
       in
       let all_cases ?pool () =
         List.for_all (fun mac -> run ?pool (mac ()) && run ?pool ~collisions:c (mac ())) macs
@@ -1805,15 +1806,15 @@ let test_engine_pinned_honeycomb () =
     ~remaining:73
 
 let test_engine_pinned_greedy () =
-  check_pinned "greedy-mac" (run_pinned_mac Mac.greedy_independent) ~injected:200 ~dropped:0
+  check_pinned "greedy-mac" (run_pinned_mac Array_mac.greedy_independent) ~injected:200 ~dropped:0
     ~delivered:178 ~sends:206 ~failed:0 ~cost:64.686718893328674 ~peak:5 ~remaining:22
 
 let test_engine_pinned_color () =
-  check_pinned "color-mac" (run_pinned_mac Mac.color) ~injected:185 ~dropped:15 ~delivered:86
+  check_pinned "color-mac" (run_pinned_mac Array_mac.color) ~injected:185 ~dropped:15 ~delivered:86
     ~sends:322 ~failed:0 ~cost:79.362892574281162 ~peak:50 ~remaining:99
 
 let test_engine_pinned_all () =
-  check_pinned "all+collisions" (run_pinned_mac (fun _ -> Mac.all)) ~injected:100 ~dropped:100
+  check_pinned "all+collisions" (run_pinned_mac (fun _ -> Array_mac.all)) ~injected:100 ~dropped:100
     ~delivered:0 ~sends:7380 ~failed:7380 ~cost:1710.6509581360297 ~peak:50 ~remaining:100
 
 (* The engine variants, pinned the same way.  The dynamic run crosses an

@@ -26,7 +26,7 @@ let test_map_nodes_matches_global =
       let points = big_points seed in
       let query = range *. (1. +. 1e-9) in
       let answer grid u =
-        List.sort Int.compare (Spatial_grid.indices_within grid points.(u) query)
+        List.sort Int.compare (indices_within grid points.(u) query)
       in
       let sharded = Shard.map_nodes ~range points ~f:answer in
       let global = Spatial_grid.build ~cell:range points in
@@ -39,7 +39,7 @@ let test_map_nodes_jobs_invariant =
       let points = big_points seed in
       let query = range *. (1. +. 1e-9) in
       let answer grid u =
-        List.sort Int.compare (Spatial_grid.indices_within grid points.(u) query)
+        List.sort Int.compare (indices_within grid points.(u) query)
       in
       let sequential = Shard.map_nodes ~range points ~f:answer in
       List.for_all
@@ -51,7 +51,7 @@ let test_map_nodes_jobs_invariant =
 let test_map_nodes_degenerate () =
   Alcotest.(check int) "n=0" 0 (Array.length (Shard.map_nodes ~range [||] ~f:(fun _ u -> u)));
   let one = [| Point.make 0.5 0.5 |] in
-  let r = Shard.map_nodes ~range one ~f:(fun grid u -> Spatial_grid.indices_within grid one.(u) range) in
+  let r = Shard.map_nodes ~range one ~f:(fun grid u -> indices_within grid one.(u) range) in
   Alcotest.(check int) "n=1 total" 1 (Array.length r);
   Alcotest.(check (list int)) "n=1 self" [ 0 ] r.(0)
 
@@ -61,17 +61,17 @@ let test_map_nodes_degenerate () =
 let test_empty_grid_total () =
   let g = Spatial_grid.build ~cell:1. [||] in
   Alcotest.(check int) "length" 0 (Spatial_grid.length g);
-  Alcotest.(check (list int)) "query empty" [] (Spatial_grid.indices_within g Point.origin 10.);
+  Alcotest.(check (list int)) "query empty" [] (indices_within g Point.origin 10.);
   Alcotest.(check (option int)) "nearest none" None (Spatial_grid.nearest_other g 0)
 
 let test_build_indexed_subset () =
   let pts = [| Point.make 0.1 0.1; Point.make 0.2 0.2; Point.make 0.9 0.9 |] in
   let g = Spatial_grid.build_indexed ~cell:0.5 pts [| 2; 0 |] in
   Alcotest.(check int) "length" 2 (Spatial_grid.length g);
-  let near = List.sort Int.compare (Spatial_grid.indices_within g (Point.make 0.15 0.15) 0.2) in
+  let near = List.sort Int.compare (indices_within g (Point.make 0.15 0.15) 0.2) in
   (* id 1 is not in the subset; answers carry the original ids. *)
   Alcotest.(check (list int)) "subset ids" [ 0 ] near;
-  let far = List.sort Int.compare (Spatial_grid.indices_within g (Point.make 0.9 0.9) 0.05) in
+  let far = List.sort Int.compare (indices_within g (Point.make 0.9 0.9) 0.05) in
   Alcotest.(check (list int)) "far id" [ 2 ] far
 
 (* ------------------------------------------------------------------ *)

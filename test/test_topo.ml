@@ -98,7 +98,7 @@ let test_yao_graph_spanner =
       let gstar = Udg.build ~range points in
       let yao = Yao.graph ~theta:theta_default ~range points in
       Components.is_connected yao
-      && Graph.is_subgraph yao gstar
+      && is_subgraph yao gstar
       && Stretch.over_base_edges ~sub:yao ~base:gstar ~cost:Cost.length () < 3.)
 
 
@@ -122,7 +122,7 @@ let test_theta_subgraph_chain =
       let yao = Yao.graph ~theta:theta_default ~range points in
       let alg = Theta_alg.build ~theta:theta_default ~range points in
       let ov = Theta_alg.overlay alg in
-      Graph.is_subgraph ov yao && Graph.is_subgraph yao gstar)
+      is_subgraph ov yao && is_subgraph yao gstar)
 
 let test_theta_connected =
   qtest "Lemma 2.1: overlay connected" ~count:100 seed_gen (fun seed ->
@@ -183,8 +183,8 @@ let test_theta_chain_coincident () =
   let gstar = Udg.build ~range coincident in
   let yao = Yao.graph ~theta:theta_default ~range coincident in
   let ov = Theta_alg.overlay (Theta_alg.build ~theta:theta_default ~range coincident) in
-  Alcotest.(check bool) "overlay ⊆ Yao graph" true (Graph.is_subgraph ov yao);
-  Alcotest.(check bool) "Yao graph ⊆ G*" true (Graph.is_subgraph yao gstar)
+  Alcotest.(check bool) "overlay ⊆ Yao graph" true (is_subgraph ov yao);
+  Alcotest.(check bool) "Yao graph ⊆ G*" true (is_subgraph yao gstar)
 
 let test_theta_empty_and_tiny () =
   let alg = Theta_alg.build ~theta:theta_default ~range:1. [| Point.origin |] in
@@ -221,11 +221,11 @@ let test_protocol_message_counts =
 let test_proximity_chain =
   qtest "MST ⊆ RNG ⊆ Gabriel ⊆ Delaunay" ~count:80 seed_gen (fun seed ->
       let points = points_of_seed ~min_n:4 ~max_n:30 seed in
-      let mst = Adhoc_graph.Mst.of_points points in
+      let mst = Reference_mst.of_points points in
       let rng_g = Rng_graph.build points in
       let gg = Gabriel.build points in
       let dt = Delaunay.build points in
-      Graph.is_subgraph mst rng_g && Graph.is_subgraph rng_g gg && Graph.is_subgraph gg dt)
+      is_subgraph mst rng_g && is_subgraph rng_g gg && is_subgraph gg dt)
 
 let test_gabriel_witness_property =
   qtest "Gabriel edges have empty diametral disks" ~count:60 seed_gen (fun seed ->
@@ -584,7 +584,7 @@ let test_euclidean_mst_exact =
         | _ -> points_of_seed ~min_n:3 ~max_n:60 seed
       in
       let fast = Euclidean_mst.build points in
-      let exact = Adhoc_graph.Mst.of_points points in
+      let exact = Reference_mst.of_points points in
       let longest g = Graph.fold_edges g ~init:0. ~f:(fun acc _ e -> Float.max acc e.Graph.len) in
       (* Same total weight (edge sets can differ only on exact ties), and
          the same longest edge to the bit: every MST has it. *)
@@ -592,6 +592,31 @@ let test_euclidean_mst_exact =
       && Float.equal (Euclidean_mst.longest_edge points) (longest exact)
       && Graph.num_edges fast = Graph.num_edges exact
       && Components.is_connected fast)
+
+(* Every point set that a runtime caller hands Euclidean_mst.build, which
+   replaced the all-pairs oracle there: topology's four --dist sets at
+   seed 1 (n = 200 and 300), E11's three seeds at n = 512, B1's fixture
+   and interference_map's set.  The tree must be the oracle's bit for
+   bit: edge ids, ordered endpoints and lengths. *)
+let test_euclidean_mst_runtime_inputs () =
+  let uniform seed n = Generators.uniform (Prng.create seed) n in
+  let topology n =
+    List.map
+      (fun (dist, gen) -> (Printf.sprintf "topology --dist %s -n %d" dist n, gen (Prng.create 1) n))
+      [
+        ("uniform", fun rng n -> Generators.uniform rng n);
+        ("grid", fun rng n -> Generators.jittered_grid ~jitter:0.3 rng n);
+        ("clusters", fun rng n -> Generators.clusters ~num_clusters:5 ~spread:0.05 rng n);
+        ("ring", fun rng n -> Generators.ring ~width:0.25 rng n);
+      ]
+  in
+  List.iter
+    (fun (name, points) ->
+      if graph_digest (Euclidean_mst.build points) <> graph_digest (Reference_mst.of_points points)
+      then Alcotest.failf "%s: not the all-pairs MST" name)
+    (topology 200 @ topology 300
+    @ List.map (fun seed -> (Printf.sprintf "E11 seed %d" seed, uniform seed 512)) [ 1000; 1017; 1034 ]
+    @ [ ("B1 fixture", uniform 2024 256); ("interference_map", uniform 7 256) ])
 
 (* One repeated point used to send the MST to an all-pairs fallback,
    which alone allocated 7.7M minor words at n = 1025; the Delaunay path
@@ -685,7 +710,7 @@ let test_cbtc_radii_within_range =
       let points, range = instance seed in
       let c = Cbtc.build ~alpha:(2. *. Float.pi /. 3.) ~range points in
       Array.for_all (fun r -> r <= range +. 1e-12) c.Cbtc.radii
-      && Graph.is_subgraph c.Cbtc.graph c.Cbtc.asymmetric)
+      && is_subgraph c.Cbtc.graph c.Cbtc.asymmetric)
 
 let test_cbtc_coverage_condition =
   qtest "chosen radius satisfies the cone condition (or is max power)" ~count:30 seed_gen
@@ -697,7 +722,7 @@ let test_cbtc_coverage_condition =
       Array.iteri
         (fun u r ->
           if r < range -. 1e-12 then begin
-            if not (Cbtc.coverage_ok ~alpha points u r) then ok := false
+            if not (Reference_cbtc.coverage_ok ~alpha points u r) then ok := false
           end)
         c.Cbtc.radii;
       !ok)
@@ -858,6 +883,7 @@ let () =
       ( "euclidean_mst",
         [
           test_euclidean_mst_exact;
+          case "runtime inputs: the all-pairs tree" test_euclidean_mst_runtime_inputs;
           case "tiny" test_euclidean_mst_tiny;
           case "repeated point: no all-pairs path" test_euclidean_mst_repeat_allocation;
           case "critical range pinned at n = 16384" test_critical_range_pinned;
