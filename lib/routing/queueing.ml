@@ -29,6 +29,7 @@ type packet = {
   injected_at : int;
   mutable at : int;  (** current node *)
   mutable remaining : int list;  (** edge ids still to traverse *)
+  mutable hops : int;  (** [List.length remaining] *)
   mutable arrived_at_queue : int;  (** step it joined the current queue *)
   seq : int;  (** tie-breaker: injection sequence number *)
 }
@@ -64,73 +65,84 @@ let run ?(cooldown = 0) ~graph ~cost discipline paths =
   let horizon = Array.length paths in
   let steps = horizon + cooldown in
   let edge_cost = Array.init (Graph.num_edges graph) (fun e -> cost (Graph.length graph e)) in
-  (* Queue per (node, next-edge): packets waiting at [node] to cross that
-     edge.  Keyed by (node, edge id). *)
-  let queues : (int * int, packet list ref) Hashtbl.t = Hashtbl.create 256 in
-  let queue_of node e =
-    match Hashtbl.find_opt queues (node, e) with
-    | Some q -> q
-    | None ->
-        let q = ref [] in
-        Hashtbl.add queues (node, e) q;
-        q
+  (* One queue per slot of the CSR incidence: the packets waiting at a
+     node to cross one of its edges, and their count.  The slots run by
+     node and, within a node, by ascending edge id, so a scan of the slots
+     visits the queues in ascending (node, edge) order, and the float cost
+     sum below depends on nothing else. *)
+  let off = Graph.incidence_offsets graph and slot_edge = Graph.incidence_edges graph in
+  let slots = Array.length slot_edge in
+  let queue = Array.make slots [] and len = Array.make slots 0 in
+  let slot_of node e =
+    let k = ref off.(node) in
+    while !k < off.(node + 1) && slot_edge.(!k) <> e do
+      incr k
+    done;
+    if !k = off.(node + 1) then invalid_arg "Queueing.run: path edge not at the packet's node";
+    !k
   in
   let enqueue t pkt =
     match pkt.remaining with
     | [] -> assert false
     | e :: _ ->
         pkt.arrived_at_queue <- t;
-        let q = queue_of pkt.at e in
-        q := pkt :: !q
+        let k = slot_of pkt.at e in
+        queue.(k) <- pkt :: queue.(k);
+        len.(k) <- len.(k) + 1
   in
   let injected = ref 0
   and delivered = ref 0
   and total_cost = ref 0.
   and max_queue = ref 0
-  and latencies = ref []
+  and latency_sum = ref 0
+  and latencies = ref 0
   and seq = ref 0 in
-  (* Priority: smaller key wins. *)
-  let key p =
+  (* Priority: the smaller (primary, seq) pair wins.  Every packet has
+     its own seq, so no two pairs tie. *)
+  let primary p =
     match discipline with
-    | Fifo -> (p.arrived_at_queue, p.seq)
-    | Lifo -> (-p.arrived_at_queue, -p.seq)
-    | Furthest_to_go -> (-List.length p.remaining, p.seq)
-    | Nearest_to_go -> (List.length p.remaining, p.seq)
-    | Longest_in_system -> (p.injected_at, p.seq)
+    | Fifo -> p.arrived_at_queue
+    | Lifo -> -p.arrived_at_queue
+    | Furthest_to_go -> -p.hops
+    | Nearest_to_go -> p.hops
+    | Longest_in_system -> p.injected_at
+  in
+  let secondary p = match discipline with Lifo -> -p.seq | _ -> p.seq in
+  let before p b =
+    let kp = primary p and kb = primary b in
+    kp < kb || (kp = kb && secondary p < secondary b)
   in
   for t = 0 to steps - 1 do
     (* Collect this step's winners: per (node, edge) queue, the
-       discipline's minimum.  At most one packet per direction.
-       Queues are visited in ascending (node, edge) order so the float cost
-       accumulation below never depends on Hashtbl traversal order. *)
+       discipline's minimum.  At most one packet per direction. *)
     let winners = ref [] in
-    Adhoc_util.Det.iter_sorted
-      (fun (_node, e) q ->
-        if !q <> [] then begin
-          max_queue := max !max_queue (List.length !q);
-          let best =
-            List.fold_left
-              (fun acc p -> match acc with Some b when key b <= key p -> acc | _ -> Some p)
-              None !q
-          in
-          match best with Some p -> winners := (e, p) :: !winners | None -> ()
-        end)
-      queues;
-    let winners = List.rev !winners in
+    for k = 0 to slots - 1 do
+      if len.(k) > 0 then begin
+        if len.(k) > !max_queue then max_queue := len.(k);
+        match queue.(k) with
+        | [] -> ()
+        | first :: rest ->
+            let best = List.fold_left (fun b p -> if before p b then p else b) first rest in
+            winners := (k, best) :: !winners
+      end
+    done;
     (* Apply moves simultaneously. *)
     List.iter
-      (fun (e, p) ->
-        let q = queue_of p.at e in
-        q := List.filter (fun p' -> p' != p) !q;
+      (fun (k, p) ->
+        let e = slot_edge.(k) in
+        queue.(k) <- List.filter (fun p' -> p' != p) queue.(k);
+        len.(k) <- len.(k) - 1;
         total_cost := !total_cost +. edge_cost.(e);
         p.at <- Graph.other_endpoint graph e p.at;
         p.remaining <- List.tl p.remaining;
-        if p.remaining = [] then begin
+        p.hops <- p.hops - 1;
+        if p.hops = 0 then begin
           incr delivered;
-          latencies := float_of_int (t - p.injected_at) :: !latencies
+          latency_sum := !latency_sum + (t - p.injected_at);
+          incr latencies
         end
         else enqueue t p)
-      winners;
+      (List.rev !winners);
     (* Injections. *)
     if t < horizon then
       List.iter
@@ -141,7 +153,14 @@ let run ?(cooldown = 0) ~graph ~cost discipline paths =
           | [] -> incr delivered
           | _ ->
               let p =
-                { injected_at = t; at = src; remaining = path; arrived_at_queue = t; seq = !seq }
+                {
+                  injected_at = t;
+                  at = src;
+                  remaining = path;
+                  hops = List.length path;
+                  arrived_at_queue = t;
+                  seq = !seq;
+                }
               in
               enqueue t p)
         paths.(t)
@@ -152,8 +171,8 @@ let run ?(cooldown = 0) ~graph ~cost discipline paths =
     delivered = !delivered;
     total_cost = !total_cost;
     max_queue = !max_queue;
+    (* The latencies are integers, so their float sum is exact in any
+       order: this is their mean. *)
     avg_latency =
-      (match !latencies with
-      | [] -> 0.
-      | l -> Adhoc_util.Stats.mean (Array.of_list l));
+      (if !latencies = 0 then 0. else float_of_int !latency_sum /. float_of_int !latencies);
   }

@@ -15,8 +15,5 @@ let sorted_bindings ?compare:(cmp = Stdlib.compare) tbl = (* lint: allow poly-co
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] (* lint: allow hashtbl-order — fold only collects; the result is sorted below, so it is order-independent *)
   |> List.sort (fun (a, _) (b, _) -> cmp a b)
 
-let iter_sorted ?compare:cmp f tbl =
-  List.iter (fun (k, v) -> f k v) (sorted_bindings ?compare:cmp tbl)
-
 let fold_sorted ?compare:cmp f tbl init =
   List.fold_left (fun acc (k, v) -> f k v acc) init (sorted_bindings ?compare:cmp tbl)

@@ -11,9 +11,6 @@
 val sorted_bindings : ?compare:('k -> 'k -> int) -> ('k, 'v) Hashtbl.t -> ('k * 'v) list
 (** All bindings in ascending key order. *)
 
-val iter_sorted : ?compare:('k -> 'k -> int) -> ('k -> 'v -> unit) -> ('k, 'v) Hashtbl.t -> unit
-(** [iter_sorted f tbl] applies [f] to each binding in ascending key order. *)
-
 val fold_sorted :
   ?compare:('k -> 'k -> int) -> ('k -> 'v -> 'acc -> 'acc) -> ('k, 'v) Hashtbl.t -> 'acc -> 'acc
 (** [fold_sorted f tbl init] folds over bindings in ascending key order. *)
